@@ -44,29 +44,32 @@ pub fn default_interval(n: i64) -> Interval {
 /// Runs Algorithm 1 at one spine node. Returns `true` iff every check
 /// passes (the node accepts).
 pub fn verify_spine_node(view: &SpineView) -> bool {
-    let x = view.x;
-    let n = view.n;
+    let mut neighbors = view.neighbors.clone();
+    neighbors.sort_unstable_by_key(|l| l.0);
+    verify_spine_sorted(view.x, view.n, view.interval, &neighbors)
+}
+
+/// [`verify_spine_node`] on a neighbor list already sorted by position,
+/// so a caller running Algorithm 1 at many nodes can keep the list in a
+/// reused buffer.
+pub fn verify_spine_sorted(
+    x: i64,
+    n: i64,
+    interval: Interval,
+    neighbors: &[(i64, Interval)],
+) -> bool {
+    debug_assert!(neighbors.windows(2).all(|w| w[0].0 <= w[1].0));
     if x < 1 || x > n {
         return false;
     }
-    // line 1: split neighbors; sort below descending (x−_0 > x−_1 > ...)
-    // and above ascending (x+_0 < x+_1 < ...)
-    let mut below: Vec<(i64, Interval)> = Vec::new();
-    let mut above: Vec<(i64, Interval)> = Vec::new();
-    for &(p, iv) in &view.neighbors {
-        if p == x {
-            return false; // self-loop on the spine: malformed
-        }
-        if p < x {
-            below.push((p, iv));
-        } else {
-            above.push((p, iv));
-        }
+    // line 1: split neighbors; `below` is walked descending
+    // (x−_0 > x−_1 > ...) and `above` ascending (x+_0 < x+_1 < ...)
+    let (below, above) = neighbors.split_at(neighbors.partition_point(|l| l.0 < x));
+    if above.first().is_some_and(|l| l.0 == x) {
+        return false; // self-loop on the spine: malformed
     }
-    below.sort_by_key(|l| std::cmp::Reverse(l.0));
-    above.sort_by_key(|l| l.0);
     // duplicates mean two parallel spine edges: malformed
-    if below.windows(2).any(|w| w[0].0 == w[1].0) || above.windows(2).any(|w| w[0].0 == w[1].0) {
+    if neighbors.windows(2).any(|w| w[0].0 == w[1].0) {
         return false;
     }
     // the virtual padding guarantees ℓ ≥ 0 and k ≥ 0: a smaller and a
@@ -74,17 +77,18 @@ pub fn verify_spine_node(view: &SpineView) -> bool {
     if below.is_empty() || above.is_empty() {
         return false;
     }
+    let below_at = |i: usize| below[below.len() - 1 - i];
     // line 3 (spine consistency): the immediate predecessor/successor on
     // the spine must be neighbors (x−_0 = x−1, x+_0 = x+1)
-    if below[0].0 != x - 1 || above[0].0 != x + 1 {
+    if below_at(0).0 != x - 1 || above[0].0 != x + 1 {
         return false;
     }
     // line 4-5: I(x) = [a, b] with a < x < b, all neighbors within [a, b]
-    let (a, b) = view.interval;
+    let (a, b) = interval;
     if !(a < x && x < b) {
         return false;
     }
-    if view.neighbors.iter().any(|&(p, _)| p < a || p > b) {
+    if below[0].0 < a || above[above.len() - 1].0 > b {
         return false;
     }
     let k = above.len() - 1;
@@ -97,7 +101,7 @@ pub fn verify_spine_node(view: &SpineView) -> bool {
     }
     // lines 8-9: for i in 0..l-1 check I(x−_i) = [x−_{i+1}, x]
     for i in 0..l {
-        if below[i].1 != (below[i + 1].0, x) {
+        if below_at(i).1 != (below_at(i + 1).0, x) {
             return false;
         }
     }
@@ -106,12 +110,12 @@ pub fn verify_spine_node(view: &SpineView) -> bool {
         return false;
     }
     // lines 12-13: if x−_l > a then I(x−_l) = [a, b]
-    if below[l].0 > a && below[l].1 != (a, b) {
+    if below_at(l).0 > a && below_at(l).1 != (a, b) {
         return false;
     }
     // lines 14-17: neighbors whose interval is anchored at x
-    let adjacent = |p: i64| view.neighbors.iter().any(|&(q, _)| q == p);
-    for &(_, (c, d)) in &view.neighbors {
+    let adjacent = |p: i64| neighbors.binary_search_by_key(&p, |l| l.0).is_ok();
+    for &(_, (c, d)) in neighbors {
         let other = if c == x {
             Some(d)
         } else if d == x {

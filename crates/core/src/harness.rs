@@ -1,10 +1,22 @@
 //! Runs proof-labeling schemes through the CONGEST simulator.
 //!
 //! The verification phase of a PLS is exactly one synchronous round in
-//! which every node broadcasts its certificate; the harness wires a
-//! [`ProofLabelingScheme`] into the simulator's [`Protocol`] interface so
-//! every verification in this workspace goes through the same measured
-//! execution path (rounds, message bits).
+//! which every node broadcasts its certificate. Every verification in
+//! this workspace goes through the same measured execution path:
+//!
+//! * delivery and the CONGEST accounting (rounds, largest message,
+//!   total bits over all edges) come from the simulator's
+//!   [`run_protocol`], which broadcasts every certificate over every
+//!   incident edge;
+//! * the verdicts come from the scheme's round method,
+//!   [`ProofLabelingScheme::verify_round`], which sees the same
+//!   port-ordered inboxes. Its default runs the per-node verifier at
+//!   every node; a scheme may override it to share decoding across
+//!   nodes, with the per-node verdicts unchanged.
+//!
+//! [`run_with_assignment_deepcopy`] is the per-node reference path: it
+//! calls [`ProofLabelingScheme::verify`] at every node on a deep-copied
+//! inbox, and its outcome must equal [`run_with_assignment`]'s.
 
 use crate::scheme::{Assignment, ProofLabelingScheme, ProveError};
 use dpc_graph::Graph;
@@ -159,40 +171,29 @@ pub struct Certified {
     pub outcome: Outcome,
 }
 
-struct PlsProtocol<'a, S> {
-    scheme: &'a S,
+/// The verification round as a [`Protocol`]: every node broadcasts its
+/// certificate. With `per_node`, each node then runs that scheme's
+/// per-node verifier on its inbox; without it, each node stops once its
+/// inbox is delivered and the verdicts come from
+/// [`ProofLabelingScheme::verify_round`].
+struct PlsRound<'a, S> {
     assignment: &'a Assignment,
+    per_node: Option<&'a S>,
 }
 
-struct PlsState {
-    cert: Payload,
-    verdict: Option<bool>,
-}
+impl<'a, S: ProofLabelingScheme> Protocol for PlsRound<'a, S> {
+    type State = Payload;
 
-impl<'a, S: ProofLabelingScheme> Protocol for PlsProtocol<'a, S> {
-    type State = PlsState;
-
-    fn init(&self, ctx: &NodeCtx) -> PlsState {
-        PlsState {
-            cert: self.assignment.certs[ctx.node as usize].clone(),
-            verdict: None,
-        }
+    fn init(&self, ctx: &NodeCtx) -> Payload {
+        self.assignment.certs[ctx.node as usize].clone()
     }
 
-    fn message(&self, state: &PlsState, _round: usize) -> Payload {
-        state.cert.clone()
+    fn message(&self, cert: &Payload, _round: usize) -> Payload {
+        cert.clone()
     }
 
-    fn receive(
-        &self,
-        state: &mut PlsState,
-        ctx: &NodeCtx,
-        inbox: &[Payload],
-        _round: usize,
-    ) -> Step {
-        let v = self.scheme.verify(ctx, &state.cert, inbox);
-        state.verdict = Some(v);
-        Step::Output(v)
+    fn receive(&self, cert: &mut Payload, ctx: &NodeCtx, inbox: &[Payload], _round: usize) -> Step {
+        Step::Output(self.per_node.is_none_or(|s| s.verify(ctx, cert, inbox)))
     }
 }
 
@@ -228,35 +229,51 @@ pub fn certify_pls<S: ProofLabelingScheme>(scheme: &S, g: &Graph) -> Result<Cert
 
 /// Runs the distributed verifier under an arbitrary (possibly forged)
 /// certificate assignment — the soundness experiments live here.
+///
+/// The simulator delivers the round and does the accounting; the
+/// verdicts are the scheme's [`ProofLabelingScheme::verify_round`].
 pub fn run_with_assignment<S: ProofLabelingScheme>(
     scheme: &S,
     g: &Graph,
     assignment: &Assignment,
 ) -> Outcome {
     assert_eq!(assignment.certs.len(), g.node_count());
-    let proto = PlsProtocol { scheme, assignment };
-    let report = run_protocol(&proto, g, 1);
-    outcome_from(report, assignment)
+    let delivery = PlsRound {
+        assignment,
+        per_node: None::<&S>,
+    };
+    let report = run_protocol(&delivery, g, 1);
+    let verdicts = scheme.verify_round(g, &assignment.certs);
+    outcome_from(report, verdicts, assignment)
 }
 
-/// Like [`run_with_assignment`], but through the deep-copy reference
-/// executor ([`dpc_runtime::baseline`]): one byte copy per certificate
-/// per incident edge. Exists so benches can measure what the zero-copy
-/// delivery path saves; results are identical.
+/// Like [`run_with_assignment`], but every node runs the per-node
+/// verifier on its own inbox through the deep-copy reference executor
+/// ([`dpc_runtime::baseline`]): one byte copy per certificate per
+/// incident edge. The reference the round path is held against, and
+/// the "before" of the delivery benches; results are identical.
 pub fn run_with_assignment_deepcopy<S: ProofLabelingScheme>(
     scheme: &S,
     g: &Graph,
     assignment: &Assignment,
 ) -> Outcome {
     assert_eq!(assignment.certs.len(), g.node_count());
-    let proto = PlsProtocol { scheme, assignment };
+    let proto = PlsRound {
+        assignment,
+        per_node: Some(scheme),
+    };
     let report = dpc_runtime::baseline::run_protocol_deepcopy(&proto, g, 1);
-    outcome_from(report, assignment)
+    let verdicts = report.verdicts.iter().map(|v| v.unwrap_or(false)).collect();
+    outcome_from(report, verdicts, assignment)
 }
 
-fn outcome_from(report: dpc_runtime::RunReport, assignment: &Assignment) -> Outcome {
+fn outcome_from(
+    report: dpc_runtime::RunReport,
+    verdicts: Vec<bool>,
+    assignment: &Assignment,
+) -> Outcome {
     Outcome {
-        verdicts: report.verdicts.iter().map(|v| v.unwrap_or(false)).collect(),
+        verdicts,
         rounds: report.rounds,
         max_message_bits: report.max_message_bits,
         total_message_bits: report.total_message_bits,

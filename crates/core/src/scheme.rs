@@ -165,6 +165,27 @@ pub trait ProofLabelingScheme {
 
     /// Local verification at one node after the communication round.
     fn verify(&self, ctx: &NodeCtx, own: &Payload, neighbors: &[Payload]) -> bool;
+
+    /// The verdicts of one whole verification round on `g`, where node
+    /// `v` broadcast `certs[v]`: entry `v` is what [`Self::verify`]
+    /// answers at `v` on the certificates of its neighbors in port
+    /// order, which is exactly what this default runs.
+    ///
+    /// A scheme may override it to share work across nodes (say, to
+    /// decode each certificate once instead of once per incident edge),
+    /// as long as every verdict stays equal to the per-node one.
+    fn verify_round(&self, g: &Graph, certs: &[Payload]) -> Vec<bool> {
+        let mut ctx = NodeCtx::default();
+        let mut inbox = Vec::new();
+        g.nodes()
+            .map(|v| {
+                ctx.load(g, v);
+                inbox.clear();
+                inbox.extend(g.neighbors(v).map(|w| certs[w as usize].clone()));
+                self.verify(&ctx, &certs[v as usize], &inbox)
+            })
+            .collect()
+    }
 }
 
 // Delegating impls so `&S`, `&dyn ProofLabelingScheme`, and boxed
@@ -183,6 +204,10 @@ impl<S: ProofLabelingScheme + ?Sized> ProofLabelingScheme for &S {
     fn verify(&self, ctx: &NodeCtx, own: &Payload, neighbors: &[Payload]) -> bool {
         (**self).verify(ctx, own, neighbors)
     }
+
+    fn verify_round(&self, g: &Graph, certs: &[Payload]) -> Vec<bool> {
+        (**self).verify_round(g, certs)
+    }
 }
 
 impl<S: ProofLabelingScheme + ?Sized> ProofLabelingScheme for Box<S> {
@@ -196,6 +221,10 @@ impl<S: ProofLabelingScheme + ?Sized> ProofLabelingScheme for Box<S> {
 
     fn verify(&self, ctx: &NodeCtx, own: &Payload, neighbors: &[Payload]) -> bool {
         (**self).verify(ctx, own, neighbors)
+    }
+
+    fn verify_round(&self, g: &Graph, certs: &[Payload]) -> Vec<bool> {
+        (**self).verify_round(g, certs)
     }
 }
 

@@ -28,23 +28,27 @@
 //! Phase 3 simulates Algorithm 1 ([`crate::alg1`]) at every copy; the
 //! root simulates the two virtual spine ends `0` and `2n`.
 //!
+//! The verification round ([`ProofLabelingScheme::verify_round`])
+//! decodes each certificate once and runs the per-node predicate of
+//! [`ProofLabelingScheme::verify`] at every node on the decoded
+//! neighbors, so a round costs n decodes instead of n + 2m.
+//!
 //! Soundness: all nodes accepting forces `T` spanning, `f` a DFS mapping
 //! and `G_{T,f}` path-outerplanar (Lemma 2), hence `G` planar (Lemma 4).
 
-use crate::alg1::{verify_spine_node, virtual_interval, SpineView};
+use crate::alg1::{verify_spine_sorted, virtual_interval, Interval};
 use crate::scheme::{Assignment, ProofLabelingScheme, ProveError};
-use crate::schemes::tree_base::{build_tree_certs, check_tree, TreeCert};
+use crate::schemes::tree_base::{build_tree_certs, check_tree_into, TreeCert};
 use dpc_graph::degeneracy::{assign_edges_by_degeneracy, assign_edges_naive, degeneracy_order};
 use dpc_graph::Graph;
 use dpc_planar::tembed::t_embedding;
 use dpc_runtime::bits::{BitReader, BitWriter, DecodeError};
 use dpc_runtime::{NodeCtx, Payload};
-use std::collections::HashMap;
 
 type Iv = (u64, u64);
 
 /// One edge-certificate (the `c(e)` of Section 3.3).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EdgeKind {
     /// Tree edge: interval labels at `fmin(c)−1, fmin(c), fmax(c),
     /// fmax(c)+1` where `c` is the child endpoint (positions are implied
@@ -54,13 +58,14 @@ enum EdgeKind {
     Cotree { i: u64, ii: Iv, j: u64, ij: Iv },
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EdgeCert {
     id_a: u64,
     id_b: u64,
     kind: EdgeKind,
 }
 
+/// One node's certificate, decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct PlanCert {
     tree: TreeCert,
@@ -78,32 +83,41 @@ fn read_iv(r: &mut BitReader<'_>) -> Result<Iv, DecodeError> {
     Ok((r.read_varint()?, r.read_varint()?))
 }
 
-impl PlanCert {
-    fn encode(&self) -> Payload {
-        let mut w = BitWriter::new();
-        self.tree.encode(&mut w);
-        w.write_varint(self.fmin);
-        w.write_varint(self.fmax);
-        w.write_varint(self.edges.len() as u64);
-        for e in &self.edges {
-            w.write_varint(e.id_a);
-            w.write_varint(e.id_b);
-            match &e.kind {
-                EdgeKind::Tree(ivs) => {
-                    w.write_bool(true);
-                    for &iv in ivs {
-                        write_iv(&mut w, iv);
-                    }
-                }
-                EdgeKind::Cotree { i, ii, j, ij } => {
-                    w.write_bool(false);
-                    w.write_varint(*i);
-                    write_iv(&mut w, *ii);
-                    w.write_varint(*j);
-                    write_iv(&mut w, *ij);
+/// Writes one certificate: the tree component, `fmin`, `fmax`, then the
+/// edge-certificates, count first.
+fn write_cert(w: &mut BitWriter, tree: &TreeCert, fmin: u64, fmax: u64, edges: &[EdgeCert]) {
+    tree.encode(w);
+    w.write_varint(fmin);
+    w.write_varint(fmax);
+    w.write_varint(edges.len() as u64);
+    for e in edges {
+        w.write_varint(e.id_a);
+        w.write_varint(e.id_b);
+        match e.kind {
+            EdgeKind::Tree(ivs) => {
+                w.write_bool(true);
+                for iv in ivs {
+                    write_iv(w, iv);
                 }
             }
+            EdgeKind::Cotree { i, ii, j, ij } => {
+                w.write_bool(false);
+                w.write_varint(i);
+                write_iv(w, ii);
+                w.write_varint(j);
+                write_iv(w, ij);
+            }
         }
+    }
+}
+
+impl PlanCert {
+    /// Re-encodes a certificate (the rejection-path tests mutate and
+    /// re-encode decoded ones).
+    #[cfg(test)]
+    fn encode(&self) -> Payload {
+        let mut w = BitWriter::new();
+        write_cert(&mut w, &self.tree, self.fmin, self.fmax, &self.edges);
         Payload::from_writer(w)
     }
 
@@ -185,20 +199,17 @@ impl ProofLabelingScheme for PlanarityScheme {
         }
         let n = g.node_count();
         if n == 1 {
-            let cert = PlanCert {
-                tree: TreeCert {
-                    root_id: g.id_of(0),
-                    n: 1,
-                    dist: 0,
-                    parent_id: g.id_of(0),
-                    subtree: 1,
-                },
-                fmin: 1,
-                fmax: 1,
-                edges: Vec::new(),
+            let tree = TreeCert {
+                root_id: g.id_of(0),
+                n: 1,
+                dist: 0,
+                parent_id: g.id_of(0),
+                subtree: 1,
             };
+            let mut w = BitWriter::new();
+            write_cert(&mut w, &tree, 1, 1, &[]);
             return Ok(Assignment {
-                certs: vec![cert.encode()],
+                certs: vec![Payload::from_writer(w)],
             });
         }
         let rot = dpc_planar::lr::planarity(g)
@@ -220,8 +231,8 @@ impl ProofLabelingScheme for PlanarityScheme {
             let (a, b) = te.interval(x as u32);
             (a as u64, b as u64)
         };
-        let mut edge_lists: Vec<Vec<EdgeCert>> = vec![Vec::new(); n];
-        for (eid, e) in g.edges().iter().enumerate() {
+        let edge_cert = |eid: usize| {
+            let e = g.edges()[eid];
             let kind = if tree_mask[eid] {
                 let c = if tree.parent[e.u as usize] == Some(e.v) {
                     e.u
@@ -239,95 +250,203 @@ impl ProofLabelingScheme for PlanarityScheme {
                     ij: iv(chord.b as u64),
                 }
             };
-            edge_lists[owners[eid] as usize].push(EdgeCert {
+            EdgeCert {
                 id_a: g.id_of(e.u),
                 id_b: g.id_of(e.v),
                 kind,
-            });
+            }
+        };
+        // edge ids grouped by owner, in edge order within a group (a
+        // counting sort): node v stores by_owner[start[v]..start[v + 1]]
+        let mut start = vec![0u32; n + 1];
+        for &o in &owners {
+            start[o as usize + 1] += 1;
         }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut by_owner = vec![0u32; owners.len()];
+        for (eid, &o) in owners.iter().enumerate() {
+            by_owner[next[o as usize] as usize] = eid as u32;
+            next[o as usize] += 1;
+        }
+        // one writer and one edge list reused for every certificate
+        let mut w = BitWriter::new();
+        let mut edges = Vec::new();
         let certs = g
             .nodes()
             .map(|v| {
-                PlanCert {
-                    tree: tree_certs[v as usize],
-                    fmin: te.fmin(v) as u64,
-                    fmax: te.fmax(v) as u64,
-                    edges: std::mem::take(&mut edge_lists[v as usize]),
-                }
-                .encode()
+                let (lo, hi) = (start[v as usize] as usize, start[v as usize + 1] as usize);
+                edges.clear();
+                edges.extend(by_owner[lo..hi].iter().map(|&eid| edge_cert(eid as usize)));
+                w.clear();
+                write_cert(
+                    &mut w,
+                    &tree_certs[v as usize],
+                    te.fmin(v) as u64,
+                    te.fmax(v) as u64,
+                    &edges,
+                );
+                Payload::from_bytes(w.as_bytes(), w.bit_len())
             })
             .collect();
         Ok(Assignment { certs })
     }
 
     fn verify(&self, ctx: &NodeCtx, own: &Payload, neighbors: &[Payload]) -> bool {
-        verify_impl(ctx, own, neighbors).is_some()
+        let Some(own) = PlanCert::decode(own) else {
+            return false;
+        };
+        let Some(nbs) = neighbors
+            .iter()
+            .map(PlanCert::decode)
+            .collect::<Option<Vec<_>>>()
+        else {
+            return false;
+        };
+        let nbs: Vec<&PlanCert> = nbs.iter().collect();
+        check_node(ctx, &own, &nbs, &mut Scratch::default()).is_some()
+    }
+
+    /// Decodes every certificate once, then runs the per-node predicate
+    /// of [`Self::verify`] at each node on the decoded neighbors.
+    fn verify_round(&self, g: &Graph, certs: &[Payload]) -> Vec<bool> {
+        let decoded: Vec<Option<PlanCert>> = certs.iter().map(PlanCert::decode).collect();
+        let mut ctx = NodeCtx::default();
+        let mut nbs = Vec::new();
+        let mut scratch = Scratch::default();
+        g.nodes()
+            .map(|v| {
+                let Some(own) = &decoded[v as usize] else {
+                    return false;
+                };
+                nbs.clear();
+                for w in g.neighbors(v) {
+                    match &decoded[w as usize] {
+                        Some(c) => nbs.push(c),
+                        None => return false,
+                    }
+                }
+                ctx.load(g, v);
+                check_node(&ctx, own, &nbs, &mut scratch).is_some()
+            })
+            .collect()
     }
 }
 
-/// The whole verifier; `None` = reject. Written with `?` so any missing
-/// or inconsistent piece rejects.
-fn verify_impl(ctx: &NodeCtx, own: &Payload, neighbors: &[Payload]) -> Option<()> {
-    let own = PlanCert::decode(own)?;
-    let nbs: Vec<PlanCert> = neighbors
-        .iter()
-        .map(PlanCert::decode)
-        .collect::<Option<Vec<_>>>()?;
+/// Claimed node counts above this are rejected: every spine position and
+/// interval bound then fits an `i64` with room for the virtual ends.
+const MAX_NODES: u64 = 1 << 60;
 
+/// Buffers of the per-node predicate, reused from node to node.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Tree certificates heard, by port.
+    trees: Vec<TreeCert>,
+    /// Ports of the tree children (sorted by `fmin` once checked).
+    children: Vec<usize>,
+    /// Per port: is the edge a tree edge?
+    on_tree: Vec<bool>,
+    /// The copies `f⁻¹(x)`, sorted.
+    copies: Vec<u64>,
+    /// Per port: the edge's certificate.
+    resolved: Vec<EdgeCert>,
+    /// Interval claims `(position, I(position))`.
+    claims: Vec<(u64, Iv)>,
+    /// H-edges at the copies: `(copy, neighbor position)`.
+    adj: Vec<(u64, u64)>,
+    /// One copy's Algorithm 1 neighbor list.
+    view: Vec<(i64, Interval)>,
+}
+
+/// Records an interval claim after a range check; `None` = reject.
+fn claim(claims: &mut Vec<(u64, Iv)>, spine: u64, pos: u64, iv: Iv) -> Option<()> {
+    if pos < 1 || pos > spine || iv.1 > spine + 1 || iv.0 >= iv.1 {
+        return None;
+    }
+    claims.push((pos, iv));
+    Some(())
+}
+
+/// Records the H-edge `{a, b}` at each endpoint that is a copy of `x`.
+fn add_edge(adj: &mut Vec<(u64, u64)>, copies: &[u64], a: u64, b: u64) {
+    if copies.binary_search(&a).is_ok() {
+        adj.push((a, b));
+    }
+    if copies.binary_search(&b).is_ok() {
+        adj.push((b, a));
+    }
+}
+
+/// Algorithm 2 at one node on decoded certificates (`nbs[p]` heard on
+/// port `p`); `None` = reject. Written with `?` so any missing or
+/// inconsistent piece rejects, and with checked arithmetic so a forged
+/// position rejects instead of overflowing. The one predicate behind
+/// both `verify` and `verify_round`.
+fn check_node(ctx: &NodeCtx, own: &PlanCert, nbs: &[&PlanCert], s: &mut Scratch) -> Option<()> {
     // ---- Phase 2a: spanning tree ----------------------------------------
-    let tree_nbs: Vec<TreeCert> = nbs.iter().map(|c| c.tree).collect();
-    let info = check_tree(ctx, &own.tree, &tree_nbs)?;
+    s.trees.clear();
+    s.trees.extend(nbs.iter().map(|c| c.tree));
+    let parent_port = check_tree_into(ctx, &own.tree, &s.trees, &mut s.children)?;
     let n = own.tree.n;
-    let spine = 2 * n - 1; // N
-    let is_root = info.parent_port.is_none();
-
     if n == 1 {
         return (own.fmin == 1 && own.fmax == 1).then_some(());
     }
+    if n > MAX_NODES {
+        return None;
+    }
+    let spine = 2 * n - 1; // N
 
     // ---- Phase 2b: DFS mapping ------------------------------------------
     if own.fmin < 1 || own.fmin > own.fmax || own.fmax > spine {
         return None;
     }
-    if is_root && (own.fmin != 1 || own.fmax != spine) {
+    if parent_port.is_none() && (own.fmin != 1 || own.fmax != spine) {
         return None;
     }
     // children sorted by fmin
-    let mut children = info.children_ports.clone();
-    children.sort_by_key(|&p| nbs[p].fmin);
-    if children.is_empty() {
-        if own.fmax != own.fmin {
-            return None;
-        }
-    } else {
-        if nbs[children[0]].fmin != own.fmin + 1 {
-            return None;
-        }
-        for w in children.windows(2) {
-            if nbs[w[1]].fmin != nbs[w[0]].fmax + 2 {
+    s.children.sort_by_key(|&p| nbs[p].fmin);
+    match (s.children.first(), s.children.last()) {
+        (Some(&first), Some(&last)) => {
+            if Some(nbs[first].fmin) != own.fmin.checked_add(1) {
+                return None;
+            }
+            for w in s.children.windows(2) {
+                if Some(nbs[w[1]].fmin) != nbs[w[0]].fmax.checked_add(2) {
+                    return None;
+                }
+            }
+            if Some(own.fmax) != nbs[last].fmax.checked_add(1) {
                 return None;
             }
         }
-        if own.fmax != nbs[*children.last().unwrap()].fmax + 1 {
-            return None;
+        _ => {
+            if own.fmax != own.fmin {
+                return None;
+            }
         }
     }
     // copies of x on the spine
-    let mut copies: Vec<u64> = vec![own.fmin];
-    for &p in &children {
-        copies.push(nbs[p].fmax + 1);
+    s.copies.clear();
+    s.copies.push(own.fmin);
+    for &p in &s.children {
+        s.copies.push(nbs[p].fmax.checked_add(1)?);
     }
-    let copy_set: std::collections::HashSet<u64> = copies.iter().copied().collect();
+    s.copies.sort_unstable();
+    s.copies.dedup();
 
     // ---- Phase 1: resolve one edge-certificate per incident edge --------
-    let mut resolved: Vec<EdgeCert> = Vec::with_capacity(ctx.degree());
+    s.on_tree.clear();
+    s.on_tree.resize(ctx.degree(), false);
+    for &p in parent_port.iter().chain(&s.children) {
+        s.on_tree[p] = true;
+    }
+    s.resolved.clear();
     for (p, &nid) in ctx.neighbor_ids.iter().enumerate() {
-        let matches = |e: &EdgeCert| {
-            (e.id_a == ctx.id && e.id_b == nid) || (e.id_a == nid && e.id_b == ctx.id)
-        };
         let mut found: Option<&EdgeCert> = None;
-        for e in own.edges.iter().chain(nbs[p].edges.iter()) {
-            if matches(e) {
+        for e in own.edges.iter().chain(&nbs[p].edges) {
+            if (e.id_a == ctx.id && e.id_b == nid) || (e.id_a == nid && e.id_b == ctx.id) {
                 match found {
                     None => found = Some(e),
                     Some(prev) if prev == e => {}
@@ -336,109 +455,98 @@ fn verify_impl(ctx: &NodeCtx, own: &Payload, neighbors: &[Payload]) -> Option<()
             }
         }
         let e = found?;
-        let should_be_tree = info.parent_port == Some(p) || info.children_ports.contains(&p);
-        if matches!(e.kind, EdgeKind::Tree(_)) != should_be_tree {
+        if matches!(e.kind, EdgeKind::Tree(_)) != s.on_tree[p] {
             return None;
         }
-        resolved.push(e.clone());
+        s.resolved.push(*e);
     }
 
-    // ---- Phase 1b: interval map + H-adjacency of the copies -------------
-    let mut interval_of: HashMap<u64, Iv> = HashMap::new();
-    let insert_iv = |pos: u64, iv: Iv, map: &mut HashMap<u64, Iv>| -> Option<()> {
-        if pos < 1 || pos > spine || iv.1 > spine + 1 || iv.0 >= iv.1 {
-            return None;
-        }
-        match map.insert(pos, iv) {
-            None => Some(()),
-            Some(prev) if prev == iv => Some(()),
-            Some(_) => None, // inconsistent interval claims
-        }
-    };
-    // adjacency: copy position -> neighbor positions
-    let mut h_adj: HashMap<u64, Vec<u64>> = copies.iter().map(|&c| (c, Vec::new())).collect();
-    let add_edge = |a: u64, b: u64, adj: &mut HashMap<u64, Vec<u64>>| {
-        if let Some(l) = adj.get_mut(&a) {
-            l.push(b);
-        }
-        if let Some(l) = adj.get_mut(&b) {
-            l.push(a);
-        }
-    };
-    for (p, e) in resolved.iter().enumerate() {
+    // ---- Phase 1b: interval claims + H-adjacency of the copies ----------
+    s.claims.clear();
+    s.adj.clear();
+    for (p, e) in s.resolved.iter().enumerate() {
         match &e.kind {
             EdgeKind::Tree(ivs) => {
-                let child_is_self = info.parent_port == Some(p);
+                let child_is_self = parent_port == Some(p);
                 let (cmin, cmax) = if child_is_self {
                     (own.fmin, own.fmax)
                 } else {
                     (nbs[p].fmin, nbs[p].fmax)
                 };
-                if cmin < 2 || cmax + 1 > spine {
+                if cmin < 2 || cmax >= spine {
                     return None; // child occupies interior spine positions
                 }
                 let pos = [cmin - 1, cmin, cmax, cmax + 1];
-                for (q, &iv) in pos.iter().zip(ivs.iter()) {
-                    insert_iv(*q, iv, &mut interval_of)?;
+                for (&q, &iv) in pos.iter().zip(ivs) {
+                    claim(&mut s.claims, spine, q, iv)?;
                 }
-                add_edge(pos[0], pos[1], &mut h_adj);
-                add_edge(pos[2], pos[3], &mut h_adj);
-                // parent-side positions must be copies of the parent node
-                if child_is_self {
-                    // x is the child: nothing more to check here; the
-                    // parent checks its own copy membership
-                } else {
-                    // x is the parent: pos[0], pos[3] must be copies of x
-                    if !copy_set.contains(&pos[0]) || !copy_set.contains(&pos[3]) {
-                        return None;
-                    }
+                add_edge(&mut s.adj, &s.copies, pos[0], pos[1]);
+                add_edge(&mut s.adj, &s.copies, pos[2], pos[3]);
+                // x is the parent: pos[0], pos[3] must be copies of x (a
+                // child checks nothing more here; its parent checks its
+                // own copy membership)
+                let is_copy = |q: u64| s.copies.binary_search(&q).is_ok();
+                if !(child_is_self || is_copy(pos[0]) && is_copy(pos[3])) {
+                    return None;
                 }
             }
-            EdgeKind::Cotree { i, ii, j, ij } => {
+            &EdgeKind::Cotree { i, ii, j, ij } => {
                 if i >= j {
                     return None;
                 }
-                insert_iv(*i, *ii, &mut interval_of)?;
-                insert_iv(*j, *ij, &mut interval_of)?;
-                let mine_i = copy_set.contains(i);
-                let mine_j = copy_set.contains(j);
+                claim(&mut s.claims, spine, i, ii)?;
+                claim(&mut s.claims, spine, j, ij)?;
+                let mine_i = s.copies.binary_search(&i).is_ok();
+                let mine_j = s.copies.binary_search(&j).is_ok();
                 if mine_i == mine_j {
                     return None; // exactly one endpoint is a copy of x
                 }
                 // the other endpoint must lie in the neighbor's range
-                let (other, _mine) = if mine_i { (*j, *i) } else { (*i, *j) };
+                let other = if mine_i { j } else { i };
                 if other < nbs[p].fmin || other > nbs[p].fmax {
                     return None;
                 }
-                add_edge(*i, *j, &mut h_adj);
+                add_edge(&mut s.adj, &s.copies, i, j);
             }
         }
     }
+    // one interval per position: conflicting claims reject
+    s.claims.sort_unstable();
+    if s.claims
+        .windows(2)
+        .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+    {
+        return None;
+    }
+    s.claims.dedup();
+    let claims = &s.claims;
+    let interval_of = |q: u64| -> Option<Interval> {
+        let k = claims.binary_search_by_key(&q, |c| c.0).ok()?;
+        let (a, b) = claims[k].1;
+        Some((a as i64, b as i64))
+    };
 
     // ---- Phase 3: Algorithm 1 at every copy ------------------------------
-    for &c in &copies {
-        let mut nb_positions = h_adj.get(&c).cloned().unwrap_or_default();
-        nb_positions.sort_unstable();
-        nb_positions.dedup();
-        let mut view_nbs: Vec<(i64, (i64, i64))> = Vec::with_capacity(nb_positions.len() + 1);
-        for q in nb_positions {
-            let iv = *interval_of.get(&q)?;
-            view_nbs.push((q as i64, (iv.0 as i64, iv.1 as i64)));
-        }
+    s.adj.sort_unstable();
+    s.adj.dedup();
+    let spine_i = spine as i64;
+    let mut rest = &s.adj[..];
+    for &c in &s.copies {
+        let here = rest.partition_point(|e| e.0 == c);
+        let (nb_positions, tail) = rest.split_at(here);
+        rest = tail;
+        // claimed positions lie in 1..=N: the virtual ends keep it sorted
+        s.view.clear();
         if c == 1 {
-            view_nbs.push((0, virtual_interval(spine as i64)));
+            s.view.push((0, virtual_interval(spine_i)));
+        }
+        for &(_, q) in nb_positions {
+            s.view.push((q as i64, interval_of(q)?));
         }
         if c == spine {
-            view_nbs.push((spine as i64 + 1, virtual_interval(spine as i64)));
+            s.view.push((spine_i + 1, virtual_interval(spine_i)));
         }
-        let iv = *interval_of.get(&c)?;
-        let view = SpineView {
-            x: c as i64,
-            n: spine as i64,
-            interval: (iv.0 as i64, iv.1 as i64),
-            neighbors: view_nbs,
-        };
-        if !verify_spine_node(&view) {
+        if !verify_spine_sorted(c as i64, spine_i, interval_of(c)?, &s.view) {
             return None;
         }
     }
@@ -448,8 +556,17 @@ fn verify_impl(ctx: &NodeCtx, own: &Payload, neighbors: &[Payload]) -> Option<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_pls, run_with_assignment};
+    use crate::harness::{run_pls, run_with_assignment, run_with_assignment_deepcopy};
     use dpc_graph::generators;
+
+    /// Runs a (forged) assignment through the round path and asserts the
+    /// per-node reference path agrees verdict for verdict.
+    fn run_both(g: &Graph, a: &Assignment) -> crate::harness::Outcome {
+        let scheme = PlanarityScheme::new();
+        let round = run_with_assignment(&scheme, g, a);
+        assert_eq!(round, run_with_assignment_deepcopy(&scheme, g, a));
+        round
+    }
 
     #[test]
     fn accepts_planar_families() {
@@ -481,15 +598,14 @@ mod tests {
         name: &str,
         mutate: impl FnOnce(&mut PlanCert) -> bool,
     ) {
-        let scheme = PlanarityScheme::new();
-        let honest = scheme.prove(g).unwrap();
+        let honest = PlanarityScheme::new().prove(g).unwrap();
         let mut cert = PlanCert::decode(&honest.certs[v]).unwrap();
         if !mutate(&mut cert) {
             return; // mutation not applicable at this node
         }
         let mut forged = honest;
         forged.certs[v] = cert.encode();
-        let out = run_with_assignment(&scheme, g, &forged);
+        let out = run_both(g, &forged);
         assert!(
             !out.all_accept(),
             "mutation `{name}` at node {v} went unnoticed"
@@ -577,6 +693,34 @@ mod tests {
         }
     }
 
+    /// Positions forged to the top of the `u64` range must be rejected
+    /// by checked arithmetic, never overflow the verifier.
+    #[test]
+    fn forged_extreme_positions_reject_without_panicking() {
+        let g = generators::grid(4, 4);
+        let honest = PlanarityScheme::new().prove(&g).unwrap();
+        type Forge = fn(&mut PlanCert);
+        let forgeries: [(&str, Forge); 3] = [
+            ("fmax = u64::MAX", |c| c.fmax = u64::MAX),
+            ("fmin = u64::MAX", |c| c.fmin = u64::MAX),
+            ("tree.n = 1 << 63", |c| c.tree.n = 1 << 63),
+        ];
+        for (name, forge) in forgeries {
+            let mut everywhere = honest.clone();
+            for v in 0..g.node_count() {
+                let mut cert = PlanCert::decode(&honest.certs[v]).unwrap();
+                forge(&mut cert);
+                let mut forged = honest.clone();
+                forged.certs[v] = cert.encode();
+                everywhere.certs[v] = forged.certs[v].clone();
+                let out = run_both(&g, &forged);
+                assert!(!out.all_accept(), "`{name}` at node {v} went unnoticed");
+            }
+            let out = run_both(&g, &everywhere);
+            assert!(!out.all_accept(), "`{name}` at every node went unnoticed");
+        }
+    }
+
     #[test]
     fn conflicting_interval_claims_across_certs_rejected() {
         // two certificates visible to the same node claiming different
@@ -617,8 +761,8 @@ mod tests {
         let honest = scheme.prove(&g).unwrap();
         for v in 0..g.node_count() {
             let mut cert = PlanCert::decode(&honest.certs[v]).unwrap();
-            if let Some(first) = cert.edges.first().cloned() {
-                let mut dup = first.clone();
+            if let Some(&first) = cert.edges.first() {
+                let mut dup = first;
                 if let EdgeKind::Tree(ivs) = &mut dup.kind {
                     ivs[0].1 += 1;
                 } else if let EdgeKind::Cotree { ii, .. } = &mut dup.kind {

@@ -64,6 +64,25 @@ pub struct TreeInfo {
 /// `neighbors[p]` is the tree certificate heard on port `p`. Returns
 /// `None` (reject) on any inconsistency.
 pub fn check_tree(ctx: &NodeCtx, own: &TreeCert, neighbors: &[TreeCert]) -> Option<TreeInfo> {
+    let mut children_ports = Vec::new();
+    let parent_port = check_tree_into(ctx, own, neighbors, &mut children_ports)?;
+    Some(TreeInfo {
+        parent_port,
+        children_ports,
+    })
+}
+
+/// [`check_tree`] with the children's ports written to a caller's
+/// buffer (cleared first, filled in port order), so a verifier visiting
+/// every node reuses one allocation. Returns the parent port (`None` at
+/// the root), or `None` (reject) on any inconsistency.
+pub fn check_tree_into(
+    ctx: &NodeCtx,
+    own: &TreeCert,
+    neighbors: &[TreeCert],
+    children_ports: &mut Vec<usize>,
+) -> Option<Option<usize>> {
+    children_ports.clear();
     if neighbors.len() != ctx.degree() || own.n == 0 || own.subtree == 0 {
         return None;
     }
@@ -93,17 +112,16 @@ pub fn check_tree(ctx: &NodeCtx, own: &TreeCert, neighbors: &[TreeCert]) -> Opti
             .neighbor_ids
             .iter()
             .position(|&nid| nid == own.parent_id)?;
-        if neighbors[p].dist + 1 != own.dist {
+        if neighbors[p].dist.checked_add(1) != Some(own.dist) {
             return None;
         }
         Some(p)
     };
     // children: neighbors that point here
-    let mut children_ports = Vec::new();
     let mut sum = 1u64;
     for (p, nb) in neighbors.iter().enumerate() {
         if nb.parent_id == ctx.id && Some(p) != parent_port {
-            if nb.dist != own.dist + 1 {
+            if Some(nb.dist) != own.dist.checked_add(1) {
                 return None;
             }
             sum = sum.checked_add(nb.subtree)?;
@@ -113,10 +131,7 @@ pub fn check_tree(ctx: &NodeCtx, own: &TreeCert, neighbors: &[TreeCert]) -> Opti
     if sum != own.subtree {
         return None;
     }
-    Some(TreeInfo {
-        parent_port,
-        children_ports,
-    })
+    Some(parent_port)
 }
 
 /// Honest prover side: tree certificates from an actual spanning tree.

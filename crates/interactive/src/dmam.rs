@@ -87,13 +87,10 @@ struct DmamState {
 fn frame(commit: &Payload, resp: &Payload) -> Payload {
     let mut w = BitWriter::new();
     w.write_varint(commit.bit_len as u64);
-    let mut r = commit.reader();
-    for _ in 0..commit.bit_len {
-        w.write_bool(r.read_bool().unwrap());
-    }
-    let mut r = resp.reader();
-    for _ in 0..resp.bit_len {
-        w.write_bool(r.read_bool().unwrap());
+    for p in [commit, resp] {
+        p.reader()
+            .copy_to(&mut w, p.bit_len)
+            .expect("a payload holds its own bit length");
     }
     Payload::from_writer(w)
 }
@@ -101,17 +98,10 @@ fn frame(commit: &Payload, resp: &Payload) -> Payload {
 fn unframe(p: &Payload) -> Option<(Payload, Payload)> {
     let mut r = p.reader();
     let cbits = r.read_varint().ok()? as usize;
-    if cbits > r.remaining() {
-        return None;
-    }
     let mut wc = BitWriter::new();
-    for _ in 0..cbits {
-        wc.write_bool(r.read_bool().ok()?);
-    }
+    r.copy_to(&mut wc, cbits).ok()?;
     let mut wr = BitWriter::new();
-    while r.remaining() > 0 {
-        wr.write_bool(r.read_bool().ok()?);
-    }
+    r.copy_to(&mut wr, r.remaining()).ok()?;
     Some((Payload::from_writer(wc), Payload::from_writer(wr)))
 }
 

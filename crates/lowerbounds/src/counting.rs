@@ -325,6 +325,10 @@ impl ProofLabelingScheme for BlockPathScheme {
     fn verify(&self, ctx: &NodeCtx, own: &Payload, neighbors: &[Payload]) -> bool {
         self.inner.verify(ctx, own, neighbors)
     }
+
+    fn verify_round(&self, g: &Graph, certs: &[Payload]) -> Vec<bool> {
+        self.inner.verify_round(g, certs)
+    }
 }
 
 /// Outcome of the forgery experiment.

@@ -25,13 +25,7 @@ pub fn run_protocol_states_deepcopy<P: Protocol>(
     max_rounds: usize,
 ) -> (RunReport, Vec<P::State>) {
     let n = g.node_count();
-    let ctxs: Vec<NodeCtx> = (0..n as u32)
-        .map(|v| NodeCtx {
-            node: v,
-            id: g.id_of(v),
-            neighbor_ids: g.neighbors(v).map(|w| g.id_of(w)).collect(),
-        })
-        .collect();
+    let ctxs: Vec<NodeCtx> = g.nodes().map(|v| NodeCtx::of(g, v)).collect();
     let mut states: Vec<P::State> = ctxs.iter().map(|c| protocol.init(c)).collect();
     let mut verdicts: Vec<Option<bool>> = vec![None; n];
     let mut max_bits = 0usize;

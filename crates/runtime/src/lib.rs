@@ -6,8 +6,9 @@
 //! one round of communication for proof-labeling-scheme verification.
 //! This crate provides:
 //!
-//! * [`bits`] — a bit-level writer/reader (fixed-width fields and LEB128
-//!   varints) so certificate sizes are measured **exactly in bits**, the
+//! * [`bits`] — a bit-stream writer/reader (fixed-width fields and LEB128
+//!   varints, moved a word at a time) so certificate sizes are measured
+//!   **exactly in bits**, the
 //!   complexity measure of the paper;
 //! * [`sim`] — a deterministic synchronous executor with per-round
 //!   message accounting (max bits per edge per round = the CONGEST

@@ -71,7 +71,7 @@ impl Payload {
 
 /// What the node initially knows: its index, identifier, and — per the
 /// usual KT1 assumption — the identifiers behind each port.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NodeCtx {
     /// Dense node index (for the harness only; protocols should use ids).
     pub node: NodeId,
@@ -82,6 +82,22 @@ pub struct NodeCtx {
 }
 
 impl NodeCtx {
+    /// Node `v`'s initial knowledge in `g`.
+    pub fn of(g: &Graph, v: NodeId) -> NodeCtx {
+        let mut ctx = NodeCtx::default();
+        ctx.load(g, v);
+        ctx
+    }
+
+    /// Refills this context with node `v`'s knowledge, reusing the
+    /// identifier buffer (for loops that visit every node in turn).
+    pub fn load(&mut self, g: &Graph, v: NodeId) {
+        self.node = v;
+        self.id = g.id_of(v);
+        self.neighbor_ids.clear();
+        self.neighbor_ids.extend(g.neighbors(v).map(|w| g.id_of(w)));
+    }
+
     /// Degree of the node.
     pub fn degree(&self) -> usize {
         self.neighbor_ids.len()
@@ -162,13 +178,7 @@ pub fn run_protocol_states<P: Protocol>(
     max_rounds: usize,
 ) -> (RunReport, Vec<P::State>) {
     let n = g.node_count();
-    let ctxs: Vec<NodeCtx> = (0..n as u32)
-        .map(|v| NodeCtx {
-            node: v,
-            id: g.id_of(v),
-            neighbor_ids: g.neighbors(v).map(|w| g.id_of(w)).collect(),
-        })
-        .collect();
+    let ctxs: Vec<NodeCtx> = g.nodes().map(|v| NodeCtx::of(g, v)).collect();
     let mut states: Vec<P::State> = ctxs.iter().map(|c| protocol.init(c)).collect();
     let mut verdicts: Vec<Option<bool>> = vec![None; n];
     let mut max_bits = 0usize;

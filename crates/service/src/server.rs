@@ -1433,11 +1433,7 @@ fn audit_record(shared: &Arc<Shared>, record: &StoreRecord, seed: u64) -> bool {
     // certificate was first issued
     for j in 0..AUDIT_VERIFY_NODES.min(n as u64) {
         let v = (fingerprint::derive(r, j) % n as u64) as u32;
-        let ctx = NodeCtx {
-            node: v,
-            id: graph.id_of(v),
-            neighbor_ids: graph.neighbors(v).map(|w| graph.id_of(w)).collect(),
-        };
+        let ctx = NodeCtx::of(&graph, v);
         let neighbors: Vec<Payload> = graph
             .neighbors(v)
             .map(|w| assignment.certs[w as usize].clone())
