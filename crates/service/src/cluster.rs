@@ -67,6 +67,16 @@ pub struct Ring {
     addrs: Vec<String>,
 }
 
+/// MurmurHash3's 64-bit finalizer: each input bit flips each output
+/// bit with probability close to 1/2.
+fn fmix64(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    k ^ (k >> 33)
+}
+
 impl Ring {
     /// A ring over the given node addresses. Order does not affect
     /// routing (scores are per-address), but duplicates would make
@@ -117,14 +127,23 @@ impl Ring {
     }
 
     /// The rendezvous score of `key` on `addr`: FNV-1a-128 over
-    /// `key ‖ 0xa5 ‖ addr`. Deterministic across processes, so every
+    /// `key ‖ 0xa5 ‖ addr`, with both 64-bit halves passed through
+    /// murmur3's `fmix64` and cross-mixed (`lo' = fmix64(lo)`,
+    /// `hi' = fmix64(hi ^ lo')`, score `hi' ‖ fmix64(lo' ^ hi')`).
+    /// Raw FNV barely moves its high bits when addresses differ only
+    /// in trailing port digits, so same-host nodes on adjacent ports
+    /// could own almost nothing; the finalizer spreads every input bit
+    /// over the whole score. Deterministic across processes, so every
     /// client ranks identically.
     pub fn score(key: &[u8], addr: &str) -> u128 {
         let mut buf = Vec::with_capacity(key.len() + addr.len() + 1);
         buf.extend_from_slice(key);
         buf.push(SCORE_SEP);
         buf.extend_from_slice(addr.as_bytes());
-        canon::hash_bytes(&buf).0
+        let h = canon::hash_bytes(&buf).0;
+        let lo = fmix64(h as u64);
+        let hi = fmix64((h >> 64) as u64 ^ lo);
+        (hi as u128) << 64 | fmix64(lo ^ hi) as u128
     }
 
     /// Node indices ranked for `key`, best first: the failover order.
@@ -494,18 +513,6 @@ impl ClusterClient {
         )
     }
 
-    /// Certifies a graph under a scheme on the owning node.
-    #[deprecated(note = "use certify(graph, CertifyOptions::new().scheme(..))")]
-    pub fn certify_scheme(
-        &mut self,
-        graph: &Graph,
-        bypass_cache: bool,
-        scheme: SchemeId,
-    ) -> Result<Response, WireError> {
-        let opts = CertifyOptions::from(bypass_cache).scheme(scheme);
-        self.certify(graph, opts)
-    }
-
     /// The k>1 certify path: walk the top-k replicas with cached-only
     /// probes; a hit anywhere answers immediately (read-repairing the
     /// higher-ranked replicas that missed); an all-miss falls back to
@@ -730,12 +737,6 @@ impl ClusterClient {
         self.route(&key, &wire::encode_check_request(graph, opts.scheme))
     }
 
-    /// Membership check under a scheme on the owning node.
-    #[deprecated(note = "use check(graph, CheckOptions::new().scheme(..))")]
-    pub fn check_scheme(&mut self, graph: &Graph, scheme: SchemeId) -> Result<Response, WireError> {
-        self.check(graph, scheme)
-    }
-
     /// Server-side generation, routed by the generation parameters.
     pub fn gen(
         &mut self,
@@ -758,18 +759,6 @@ impl ClusterClient {
         }
     }
 
-    /// Server-side generation with a scheme id.
-    #[deprecated(note = "use gen(family, n, seed, GenOptions::new().scheme(..))")]
-    pub fn gen_scheme(
-        &mut self,
-        family: &str,
-        n: u32,
-        seed: u64,
-        scheme: SchemeId,
-    ) -> Result<Graph, WireError> {
-        self.gen(family, n, seed, scheme)
-    }
-
     /// Soundness probe on the owning node.
     pub fn soundness(
         &mut self,
@@ -782,17 +771,6 @@ impl ClusterClient {
             &key,
             &wire::encode_soundness_request(graph, opts.seed, opts.scheme),
         )
-    }
-
-    /// Soundness probe under a scheme on the owning node.
-    #[deprecated(note = "use soundness(graph, SoundnessOptions::new().seed(..).scheme(..))")]
-    pub fn soundness_scheme(
-        &mut self,
-        graph: &Graph,
-        seed: u64,
-        scheme: SchemeId,
-    ) -> Result<Response, WireError> {
-        self.soundness(graph, SoundnessOptions::new().seed(seed).scheme(scheme))
     }
 
     /// Runs one interactive-certification session against the graph's

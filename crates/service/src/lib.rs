@@ -79,6 +79,7 @@
 pub mod cache;
 pub mod client;
 pub mod cluster;
+mod conn;
 pub mod gen;
 pub mod loadgen;
 pub mod metrics;

@@ -1,5 +1,7 @@
 //! Service counters, per-stage latency histograms, the slow-request
-//! log, and the Prometheus text renderer.
+//! log, and the Prometheus text renderer. Every scalar counter is one
+//! row of the counter table (`scalars!` below), which generates its
+//! atomic, its snapshot field, its wire slot and its Prometheus series.
 //!
 //! Everything on the hot path is lock-free (`AtomicU64` with relaxed
 //! ordering — counters need atomicity, not ordering) so requests
@@ -440,113 +442,269 @@ pub struct SchemeMetrics {
     pub latency: LatencyHistogram,
 }
 
-/// Live server counters.
-#[derive(Debug, Default)]
-pub struct Metrics {
+/// How a [`StatsSnapshot`] scalar folds across nodes
+/// ([`StatsSnapshot::absorb`]) and which Prometheus type it exports as.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Monotone since boot; sums across nodes.
+    Counter,
+    /// A level right now; sums to a fleet total.
+    Gauge,
+    /// A high-water mark; the fleet's is the worst node's (`max`).
+    Peak,
+}
+
+/// One row of the counter table, as data.
+struct Scalar {
+    /// The Stats wire tail the value rides in (2 is the frozen prefix).
+    tail: u8,
+    kind: Kind,
+    /// The live [`Metrics`] atomic, or `None` when the server fills the
+    /// value in from cache, store or queue stats.
+    atomic: Option<fn(&Metrics) -> &AtomicU64>,
+    /// Prometheus series, labels included.
+    prom: &'static str,
+    help: &'static str,
+    get: fn(&StatsSnapshot) -> u64,
+    field: fn(&mut StatsSnapshot) -> &mut u64,
+}
+
+/// The newest Stats wire tail: the last row's, since rows are in wire
+/// order.
+const LAST_TAIL: u8 = SCALARS[SCALARS.len() - 1].tail;
+
+/// Expands the counter table: the [`StatsSnapshot`] fields, the
+/// [`Metrics`] atomics (rows whose source is `Atomic`), and `SCALARS`,
+/// the table as data that the wire codec, `absorb`, the Prometheus
+/// renderer and [`Metrics::snapshot`] walk.
+macro_rules! scalars {
+    ($($(#[doc = $doc:literal])+
+       $name:ident: $tail:literal, $kind:ident, $src:ident, $prom:literal, $help:literal;)+) => {
+        /// A point-in-time copy of every counter, as shipped in a Stats
+        /// response. Cache, store and queue fields are filled in by the
+        /// server from those components' own stats.
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct StatsSnapshot {
+            $($(#[doc = $doc])+ pub $name: u64,)+
+            /// Request latency histogram.
+            pub latency: HistogramSnapshot,
+            /// Per-scheme counters, one row per registered scheme.
+            pub per_scheme: Vec<SchemeStats>,
+            /// Per-stage latency histograms (v5).
+            pub stages: StageSnapshot,
+        }
+
+        const SCALARS: &[Scalar] = &[$(Scalar {
+            tail: $tail,
+            kind: Kind::$kind,
+            atomic: scalars!(@src $src $name),
+            prom: $prom,
+            help: $help,
+            get: |s| s.$name,
+            field: |s| &mut s.$name,
+        }),+];
+
+        scalars!(@metrics [] $($(#[doc = $doc])+ $name $src)+);
+    };
+    (@src Atomic $name:ident) => { Some(|m| &m.$name) };
+    (@src Filled $name:ident) => { None };
+    (@metrics [$($done:tt)*] $(#[doc = $doc:literal])+ $name:ident Atomic $($rest:tt)*) => {
+        scalars!(@metrics [$($done)* $(#[doc = $doc])+ pub $name: AtomicU64,] $($rest)*);
+    };
+    (@metrics [$($done:tt)*] $(#[doc = $doc:literal])+ $name:ident Filled $($rest:tt)*) => {
+        scalars!(@metrics [$($done)*] $($rest)*);
+    };
+    (@metrics [$($done:tt)*]) => {
+        /// Live server counters.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $($done)*
+            /// End-to-end request latency (queue + service).
+            pub latency: LatencyHistogram,
+            /// Per-scheme counters, one slot per registry entry.
+            pub per_scheme: Vec<SchemeMetrics>,
+            /// Per-stage request latency (v5).
+            pub stages: StageMetrics,
+        }
+    };
+}
+
+// The counter table: one row per scalar, in wire order. Columns: field,
+// wire tail, kind, source (`Atomic` in `Metrics`, or `Filled` by the
+// server), Prometheus series, Prometheus help. Adding a counter is one
+// row at the end, in a new tail (older decoders stop before it).
+scalars! {
+    // v2, the frozen prefix; the latency histogram and the per-scheme
+    // rows follow it on the wire
     /// Certify requests received.
-    pub certify: AtomicU64,
+    certify: 2, Counter, Atomic,
+        "dpc_requests_total{kind=\"certify\"}", "Requests received, by wire kind.";
     /// Check requests received.
-    pub check: AtomicU64,
+    check: 2, Counter, Atomic,
+        "dpc_requests_total{kind=\"check\"}", "Requests received, by wire kind.";
     /// Gen requests received.
-    pub gen: AtomicU64,
+    gen: 2, Counter, Atomic,
+        "dpc_requests_total{kind=\"gen\"}", "Requests received, by wire kind.";
     /// Soundness probes received.
-    pub soundness: AtomicU64,
-    /// Stats requests received.
-    pub stats: AtomicU64,
+    soundness: 2, Counter, Atomic,
+        "dpc_requests_total{kind=\"soundness\"}", "Requests received, by wire kind.";
+    /// Stats requests received (introspection, maintenance and chunk
+    /// acks share this bucket).
+    stats: 2, Counter, Atomic,
+        "dpc_requests_total{kind=\"stats\"}", "Requests received, by wire kind.";
     /// Malformed requests answered with an error.
-    pub errors: AtomicU64,
-    /// Worker batches that contained more than one certify request.
-    pub batches: AtomicU64,
+    errors: 2, Counter, Atomic,
+        "dpc_errors_total", "Malformed requests answered with an error.";
+    /// Cache hits.
+    cache_hits: 2, Counter, Filled, "dpc_cache_hits_total", "Cache hits.";
+    /// Cache misses.
+    cache_misses: 2, Counter, Filled, "dpc_cache_misses_total", "Cache misses.";
+    /// Cache evictions.
+    cache_evictions: 2, Counter, Filled, "dpc_cache_evictions_total", "Cache evictions.";
+    /// Live cache entries.
+    cache_entries: 2, Gauge, Filled, "dpc_cache_entries", "Live cache entries.";
+    /// Bytes charged against the cache budget.
+    cache_bytes: 2, Gauge, Filled,
+        "dpc_cache_bytes", "Bytes charged against the cache budget.";
+    /// Worker batches with more than one certify request.
+    batches: 2, Counter, Atomic,
+        "dpc_batches_total", "Worker batches with more than one certify.";
     /// Certify requests that rode in a multi-request batch.
-    pub batched_certifies: AtomicU64,
+    batched_certifies: 2, Counter, Atomic,
+        "dpc_batched_certifies_total", "Certify requests that rode in a multi-request batch.";
     /// Honest-prover executions (cache misses + bypasses).
-    pub proves: AtomicU64,
-    /// End-to-end request latency (queue + service).
-    pub latency: LatencyHistogram,
-    /// Per-scheme counters, one slot per registry entry.
-    pub per_scheme: Vec<SchemeMetrics>,
-    /// Currently open connections (gauge: incremented on accept,
+    proves: 2, Counter, Atomic, "dpc_proves_total", "Honest-prover executions.";
+
+    // v3: the storage tier (all zero without a store)
+    /// Cold-tier lookups that found a record (v3).
+    store_hits: 3, Counter, Filled,
+        "dpc_store_hits_total", "Cold-tier lookups that found a record.";
+    /// Cold-tier lookups that found nothing (v3).
+    store_misses: 3, Counter, Filled,
+        "dpc_store_misses_total", "Cold-tier lookups that found nothing.";
+    /// Hot-tier evictions demoted to the cold tier instead of lost (v3).
+    store_demotes: 3, Counter, Filled,
+        "dpc_store_demotes_total", "Hot-tier evictions demoted to the cold tier.";
+    /// Cold hits promoted back into the hot tier (v3).
+    store_promotes: 3, Counter, Filled,
+        "dpc_store_promotes_total", "Cold hits promoted back into the hot tier.";
+    /// Live records in the cold tier (v3).
+    store_records: 3, Gauge, Filled, "dpc_store_records", "Live records in the cold tier.";
+    /// Live record bytes in the cold tier (v3).
+    store_bytes: 3, Gauge, Filled, "dpc_store_bytes", "Live record bytes in the cold tier.";
+    /// Cold-tier segment files (v3; > 0 iff a store is attached).
+    store_segments: 3, Gauge, Filled, "dpc_store_segments", "Cold-tier segment files.";
+    /// Write-behind appends that failed (v3): that many certificates
+    /// are *not* in the store and re-prove after a restart.
+    store_write_errors: 3, Counter, Filled,
+        "dpc_store_write_errors_total", "Write-behind appends that failed (not persisted).";
+
+    // v4: connections
+    /// Currently open connections (v4; incremented on accept,
     /// decremented on close).
-    pub conns_open: AtomicU64,
-    /// Connections accepted since boot.
-    pub conns_accepted: AtomicU64,
-    /// Accept attempts that returned `EAGAIN` — one per reactor
-    /// accept burst, so the ratio to `conns_accepted` reads as
-    /// connections-per-wakeup (always 0 in threaded mode, whose
-    /// accept call blocks).
-    pub accept_eagain: AtomicU64,
-    /// Connections closed by the idle-connection timeout.
-    pub idle_timeouts: AtomicU64,
-    /// Per-stage request latency (v5).
-    pub stages: StageMetrics,
+    conns_open: 4, Gauge, Atomic, "dpc_conns_open", "Currently open connections.";
+    /// Connections accepted since boot (v4).
+    conns_accepted: 4, Counter, Atomic,
+        "dpc_conns_accepted_total", "Connections accepted since boot.";
+    /// Accept attempts that returned `EAGAIN` (v4): one per reactor
+    /// accept burst (always 0 in threaded mode, whose accept blocks).
+    accept_eagain: 4, Counter, Atomic,
+        "dpc_accept_eagain_total", "Reactor accept bursts that ended in EAGAIN.";
+    /// Connections closed by the idle-connection timeout (v4).
+    idle_timeouts: 4, Counter, Atomic,
+        "dpc_idle_timeouts_total", "Connections closed by the idle timeout.";
+
+    // v5: back-pressure, after the five stage histograms on the wire
     /// Jobs that found the worker queue full and parked on their
-    /// connection instead (v5; reactor only — the threaded reader
-    /// blocks in `push`).
-    pub queue_full_stalls: AtomicU64,
+    /// connection (v5; reactor only — the threaded reader blocks).
+    queue_full_stalls: 5, Counter, Atomic,
+        "dpc_queue_full_stalls_total", "Jobs parked on their connection because the queue was full.";
     /// Times a stalled connection's read interest was dropped so the
     /// kernel buffers the back-pressure (v5).
-    pub read_interest_drops: AtomicU64,
+    read_interest_drops: 5, Counter, Atomic,
+        "dpc_read_interest_drops_total", "Read-interest drops while a job was parked.";
     /// Times a parked job finally enqueued and read interest was
     /// restored (v5).
-    pub read_interest_restores: AtomicU64,
-    /// Times a worker completion had to wake an event loop via its
-    /// eventfd (v5) — completions that landed while the loop was
-    /// already awake don't count, so the ratio to responses reads as
-    /// wakeups-per-response.
-    pub inbox_wakeups: AtomicU64,
-    /// Records absorbed from StorePush frames (v6) — replica writes,
-    /// read-repair backfills, and peer anti-entropy all land here.
-    pub repl_push_merged: AtomicU64,
-    /// StorePush records already present, deduplicated by content
-    /// key (v6).
-    pub repl_push_duplicates: AtomicU64,
-    /// Records this node pushed to peers that were missing them (v6;
-    /// anti-entropy sweep client side).
-    pub repl_pushed: AtomicU64,
+    read_interest_restores: 5, Counter, Atomic,
+        "dpc_read_interest_restores_total", "Read-interest restores after a parked job enqueued.";
+    /// Worker completions that had to wake an event loop via its
+    /// eventfd (v5).
+    inbox_wakeups: 5, Counter, Atomic,
+        "dpc_inbox_wakeups_total", "Worker completions that had to wake an event loop.";
+    /// Jobs sitting in the worker queue right now (v5).
+    queue_depth: 5, Gauge, Filled, "dpc_queue_depth", "Jobs waiting in the worker queue.";
+
+    // v6: replication
+    /// Records absorbed from StorePush frames (v6): replica writes,
+    /// read-repair backfills and peer anti-entropy all land here.
+    repl_push_merged: 6, Counter, Atomic,
+        "dpc_repl_push_merged_total", "Records absorbed from StorePush frames.";
+    /// StorePush records already present, deduplicated by content key
+    /// (v6).
+    repl_push_duplicates: 6, Counter, Atomic,
+        "dpc_repl_push_duplicates_total", "StorePush records that were already present.";
+    /// Records this node pushed to peers that lacked them (v6).
+    repl_pushed: 6, Counter, Atomic,
+        "dpc_repl_pushed_total", "Records pushed to peers that lacked them.";
     /// Completed anti-entropy sweep rounds over the peer set (v6).
-    pub repl_sweeps: AtomicU64,
-    /// Peer exchanges that failed mid-sweep (dial or wire errors;
-    /// v6). The sweep retries on its next round, so a transient
-    /// non-zero value here is self-healing.
-    pub repl_errors: AtomicU64,
+    repl_sweeps: 6, Counter, Atomic,
+        "dpc_repl_sweeps_total", "Completed anti-entropy sweep rounds.";
+    /// Peer exchanges that failed mid-sweep (v6). The sweep retries on
+    /// its next round, so a transient non-zero value is self-healing.
+    repl_errors: 6, Counter, Atomic,
+        "dpc_repl_errors_total", "Failed peer exchanges during sweeps.";
+
+    // v7: chunked uploads and distributed proving
     /// Chunked graph-upload sessions opened (v7).
-    pub chunk_sessions: AtomicU64,
+    chunk_sessions: 7, Counter, Atomic,
+        "dpc_chunk_sessions_total", "Chunked graph-upload sessions opened.";
     /// GraphChunk frames accepted into a session (v7).
-    pub chunk_chunks: AtomicU64,
+    chunk_chunks: 7, Counter, Atomic,
+        "dpc_chunk_chunks_total", "GraphChunk frames accepted into a session.";
     /// Payload bytes streamed through chunk sessions (v7).
-    pub chunk_bytes: AtomicU64,
+    chunk_bytes: 7, Counter, Atomic,
+        "dpc_chunk_bytes_total", "Payload bytes streamed through chunk sessions.";
     /// Chunk sessions aborted: replaced by a new Begin, killed by a
     /// protocol error, or abandoned when the connection closed (v7).
-    pub chunk_aborts: AtomicU64,
+    chunk_aborts: 7, Counter, Atomic,
+        "dpc_chunk_aborts_total", "Chunk sessions aborted or abandoned.";
     /// High-water mark of the stream decoder's carry buffer in bytes
-    /// (v7 max-gauge, `fetch_max`). Bounded by one varint (< 10), so
-    /// this *is* the proof that reassembly memory is O(chunk), not
-    /// O(graph encoding).
-    pub chunk_carry_peak: AtomicU64,
+    /// (v7); < 10 proves reassembly memory is O(chunk).
+    chunk_carry_peak: 7, Peak, Atomic,
+        "dpc_chunk_carry_peak_bytes", "Peak stream-decoder carry buffer across chunk sessions.";
     /// Graph components this node delegated to ring peers during a
     /// composite summary certify (v7).
-    pub delegated_proves: AtomicU64,
-    /// Delegations that failed (peer unreachable, broken stream, or
-    /// error response) and fell back to a local prove (v7).
-    pub delegated_errors: AtomicU64,
+    delegated_proves: 7, Counter, Atomic,
+        "dpc_delegated_proves_total", "Graph components delegated to ring peers.";
+    /// Delegations that failed and fell back to a local prove (v7).
+    delegated_errors: 7, Counter, Atomic,
+        "dpc_delegated_errors_total", "Delegations that fell back to a local prove.";
     /// Component outcomes folded into one merged Outcome (v7; one per
     /// composite certify, not per component).
-    pub outcome_merges: AtomicU64,
+    outcome_merges: 7, Counter, Atomic,
+        "dpc_outcome_merges_total", "Component outcomes folded into one merged Outcome.";
+
+    // v8: auditing and interactive sessions
     /// Completed audit sweeps over the stored certificates (v8).
-    pub audit_sweeps: AtomicU64,
+    audit_sweeps: 8, Counter, Atomic,
+        "dpc_audit_sweeps_total", "Completed audit sweeps over the stored certificates.";
     /// Stored records sampled by the auditor (v8).
-    pub audit_sampled: AtomicU64,
-    /// Sampled records whose bytes were CRC-valid but failed
-    /// re-verification — fingerprint mismatch, outcome inconsistency,
-    /// or a per-node verifier reject (v8).
-    pub audit_failed: AtomicU64,
-    /// Failed records actually purged from both cache tiers (v8;
-    /// tracks `audit_failed` unless a quarantine itself errored).
-    pub audit_quarantined: AtomicU64,
+    audit_sampled: 8, Counter, Atomic,
+        "dpc_audit_sampled_total", "Stored records sampled by the auditor.";
+    /// Sampled records that were CRC-valid but failed re-verification
+    /// (v8).
+    audit_failed: 8, Counter, Atomic,
+        "dpc_audit_failed_total", "Sampled records that were CRC-valid but failed re-verification.";
+    /// Failed records purged from both cache tiers (v8; tracks
+    /// `audit_failed` unless a quarantine itself errored).
+    audit_quarantined: 8, Counter, Atomic,
+        "dpc_audit_quarantined_total", "Failed records purged from both cache tiers.";
     /// Interactive (dMAM) wire sessions opened (v8).
-    pub interactive_sessions: AtomicU64,
+    interactive_sessions: 8, Counter, Atomic,
+        "dpc_interactive_sessions_total", "Interactive (dMAM) wire sessions opened.";
     /// Interactive verdicts that rejected at least one node (v8).
-    pub interactive_rejects: AtomicU64,
+    interactive_rejects: 8, Counter, Atomic,
+        "dpc_interactive_rejects_total", "Interactive verdicts that rejected at least one node.";
 }
 
 impl Metrics {
@@ -562,6 +720,23 @@ impl Metrics {
             per_scheme: (0..slots).map(|_| SchemeMetrics::default()).collect(),
             ..Metrics::default()
         }
+    }
+
+    /// The atomics and histograms as a snapshot. The server fills in
+    /// the rest: per-scheme rows and the `Filled` cache, store and
+    /// queue fields.
+    pub fn snapshot(&self) -> StatsSnapshot {
+        let mut s = StatsSnapshot {
+            latency: self.latency.snapshot(),
+            stages: self.stages.snapshot(),
+            ..StatsSnapshot::default()
+        };
+        for sc in SCALARS {
+            if let Some(atomic) = sc.atomic {
+                *(sc.field)(&mut s) = atomic(self).load(Ordering::Relaxed);
+            }
+        }
+        s
     }
 }
 
@@ -648,128 +823,6 @@ impl SchemeStats {
     }
 }
 
-/// A point-in-time copy of every counter, as shipped in a Stats
-/// response. Cache fields are merged in by the server from the
-/// certificate cache's own counters.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StatsSnapshot {
-    /// Certify requests received.
-    pub certify: u64,
-    /// Check requests received.
-    pub check: u64,
-    /// Gen requests received.
-    pub gen: u64,
-    /// Soundness probes received.
-    pub soundness: u64,
-    /// Stats requests received.
-    pub stats: u64,
-    /// Malformed requests answered with an error.
-    pub errors: u64,
-    /// Cache hits.
-    pub cache_hits: u64,
-    /// Cache misses.
-    pub cache_misses: u64,
-    /// Cache evictions.
-    pub cache_evictions: u64,
-    /// Live cache entries.
-    pub cache_entries: u64,
-    /// Bytes charged against the cache budget.
-    pub cache_bytes: u64,
-    /// Worker batches with more than one certify request.
-    pub batches: u64,
-    /// Certify requests that rode in a multi-request batch.
-    pub batched_certifies: u64,
-    /// Honest-prover executions.
-    pub proves: u64,
-    /// Request latency histogram.
-    pub latency: HistogramSnapshot,
-    /// Per-scheme counters, one row per registered scheme.
-    pub per_scheme: Vec<SchemeStats>,
-    /// Cold-tier lookups that found a record (v3; 0 without a store).
-    pub store_hits: u64,
-    /// Cold-tier lookups that found nothing (v3).
-    pub store_misses: u64,
-    /// Hot-tier evictions demoted to the cold tier instead of lost
-    /// (v3).
-    pub store_demotes: u64,
-    /// Cold hits promoted back into the hot tier (v3).
-    pub store_promotes: u64,
-    /// Live records in the cold tier (v3 gauge).
-    pub store_records: u64,
-    /// Live record bytes in the cold tier (v3 gauge).
-    pub store_bytes: u64,
-    /// Cold-tier segment files (v3 gauge; > 0 iff a store is
-    /// attached).
-    pub store_segments: u64,
-    /// Write-behind appends that failed (v3). Non-zero means up to
-    /// this many certificates are *not* in the store despite the
-    /// demotion counter — they re-prove after a restart.
-    pub store_write_errors: u64,
-    /// Currently open connections (v4 gauge).
-    pub conns_open: u64,
-    /// Connections accepted since boot (v4).
-    pub conns_accepted: u64,
-    /// Accept attempts that returned `EAGAIN` (v4; reactor only —
-    /// the threaded accept loop blocks instead).
-    pub accept_eagain: u64,
-    /// Connections closed by the idle timeout (v4).
-    pub idle_timeouts: u64,
-    /// Per-stage latency histograms (v5).
-    pub stages: StageSnapshot,
-    /// Jobs parked on their connection because the worker queue was
-    /// full (v5; reactor only).
-    pub queue_full_stalls: u64,
-    /// Read-interest drops while a job was parked (v5).
-    pub read_interest_drops: u64,
-    /// Read-interest restores after a parked job enqueued (v5).
-    pub read_interest_restores: u64,
-    /// Worker completions that had to wake an event loop (v5).
-    pub inbox_wakeups: u64,
-    /// Jobs sitting in the worker queue right now (v5 gauge).
-    pub queue_depth: u64,
-    /// Records absorbed from StorePush frames (v6): replica writes,
-    /// read-repair backfills, and peer anti-entropy pushes.
-    pub repl_push_merged: u64,
-    /// StorePush records that were already present (v6).
-    pub repl_push_duplicates: u64,
-    /// Records this node pushed to peers that lacked them (v6).
-    pub repl_pushed: u64,
-    /// Completed anti-entropy sweep rounds (v6).
-    pub repl_sweeps: u64,
-    /// Failed peer exchanges during sweeps (v6).
-    pub repl_errors: u64,
-    /// Chunked graph-upload sessions opened (v7).
-    pub chunk_sessions: u64,
-    /// GraphChunk frames accepted into a session (v7).
-    pub chunk_chunks: u64,
-    /// Payload bytes streamed through chunk sessions (v7).
-    pub chunk_bytes: u64,
-    /// Chunk sessions aborted or abandoned (v7).
-    pub chunk_aborts: u64,
-    /// Peak carry-buffer bytes across all chunk sessions (v7 gauge;
-    /// < 10 proves O(chunk) reassembly memory).
-    pub chunk_carry_peak: u64,
-    /// Components delegated to ring peers (v7).
-    pub delegated_proves: u64,
-    /// Delegations that fell back to a local prove (v7).
-    pub delegated_errors: u64,
-    /// Merged component outcomes (v7; one per composite certify).
-    pub outcome_merges: u64,
-    /// Completed audit sweeps over the stored certificates (v8).
-    pub audit_sweeps: u64,
-    /// Stored records sampled by the auditor (v8).
-    pub audit_sampled: u64,
-    /// Sampled records that were CRC-valid but failed re-verification
-    /// (v8).
-    pub audit_failed: u64,
-    /// Failed records purged from both cache tiers (v8).
-    pub audit_quarantined: u64,
-    /// Interactive (dMAM) wire sessions opened (v8).
-    pub interactive_sessions: u64,
-    /// Interactive verdicts that rejected at least one node (v8).
-    pub interactive_rejects: u64,
-}
-
 impl StatsSnapshot {
     /// Total requests received.
     pub fn requests_total(&self) -> u64 {
@@ -781,226 +834,62 @@ impl StatsSnapshot {
         self.per_scheme.iter().find(|s| s.name == name)
     }
 
-    /// Appends the wire encoding.
+    /// Appends the wire encoding: the v2 scalars, the latency histogram
+    /// and the per-scheme rows, then one tail per later version, each
+    /// strictly after the one before so every older decoder still
+    /// reads its own prefix. The v5 tail opens with the stage
+    /// histograms.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        for v in [
-            self.certify,
-            self.check,
-            self.gen,
-            self.soundness,
-            self.stats,
-            self.errors,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.cache_entries,
-            self.cache_bytes,
-            self.batches,
-            self.batched_certifies,
-            self.proves,
-        ] {
-            put_uvarint(out, v);
-        }
-        encode_histogram(out, &self.latency);
-        put_uvarint(out, self.per_scheme.len() as u64);
-        for row in &self.per_scheme {
-            row.encode_into(out);
-        }
-        // version-3 tail: storage-tier counters and gauges, strictly
-        // after every v2 field so the v2 prefix decodes unchanged
-        for v in [
-            self.store_hits,
-            self.store_misses,
-            self.store_demotes,
-            self.store_promotes,
-            self.store_records,
-            self.store_bytes,
-            self.store_segments,
-            self.store_write_errors,
-        ] {
-            put_uvarint(out, v);
-        }
-        // version-4 tail: connection counters, strictly after the v3
-        // tail for the same reason
-        for v in [
-            self.conns_open,
-            self.conns_accepted,
-            self.accept_eagain,
-            self.idle_timeouts,
-        ] {
-            put_uvarint(out, v);
-        }
-        // version-5 tail: per-stage histograms then back-pressure
-        // counters, strictly after the v4 tail
-        for (_, h) in self.stages.named() {
-            encode_histogram(out, h);
-        }
-        for v in [
-            self.queue_full_stalls,
-            self.read_interest_drops,
-            self.read_interest_restores,
-            self.inbox_wakeups,
-            self.queue_depth,
-        ] {
-            put_uvarint(out, v);
-        }
-        // version-6 tail: replication counters, strictly after the v5
-        // tail so every older decoder still reads its own prefix
-        for v in [
-            self.repl_push_merged,
-            self.repl_push_duplicates,
-            self.repl_pushed,
-            self.repl_sweeps,
-            self.repl_errors,
-        ] {
-            put_uvarint(out, v);
-        }
-        // version-7 tail: chunked-upload and distributed-proving
-        // counters, strictly after the v6 tail
-        for v in [
-            self.chunk_sessions,
-            self.chunk_chunks,
-            self.chunk_bytes,
-            self.chunk_aborts,
-            self.chunk_carry_peak,
-            self.delegated_proves,
-            self.delegated_errors,
-            self.outcome_merges,
-        ] {
-            put_uvarint(out, v);
-        }
-        // version-8 tail: audit and interactive-session counters,
-        // strictly after the v7 tail
-        for v in [
-            self.audit_sweeps,
-            self.audit_sampled,
-            self.audit_failed,
-            self.audit_quarantined,
-            self.interactive_sessions,
-            self.interactive_rejects,
-        ] {
-            put_uvarint(out, v);
+        for tail in 2..=LAST_TAIL {
+            if tail == 5 {
+                for (_, h) in self.stages.named() {
+                    encode_histogram(out, h);
+                }
+            }
+            for sc in SCALARS.iter().filter(|sc| sc.tail == tail) {
+                put_uvarint(out, (sc.get)(self));
+            }
+            if tail == 2 {
+                encode_histogram(out, &self.latency);
+                put_uvarint(out, self.per_scheme.len() as u64);
+                for row in &self.per_scheme {
+                    row.encode_into(out);
+                }
+            }
         }
     }
 
-    /// Decodes a snapshot from the front of `buf`, advancing it.
+    /// Decodes a snapshot from the front of `buf`, advancing it. A tail
+    /// absent from an older body decodes as zeros: a server predating
+    /// the store, connection accounting, tracing, replication, giant
+    /// graphs or auditing.
     pub fn decode_from(buf: &mut &[u8]) -> Result<StatsSnapshot, DecodeError> {
         let mut s = StatsSnapshot::default();
-        for field in [
-            &mut s.certify,
-            &mut s.check,
-            &mut s.gen,
-            &mut s.soundness,
-            &mut s.stats,
-            &mut s.errors,
-            &mut s.cache_hits,
-            &mut s.cache_misses,
-            &mut s.cache_evictions,
-            &mut s.cache_entries,
-            &mut s.cache_bytes,
-            &mut s.batches,
-            &mut s.batched_certifies,
-            &mut s.proves,
-        ] {
-            *field = get_uvarint(buf)?;
-        }
-        s.latency = decode_histogram(buf)?;
-        let rows = get_uvarint(buf)? as usize;
-        if rows > MAX_SCHEME_ROWS {
-            return Err(DecodeError::OutOfBits);
-        }
-        s.per_scheme = (0..rows)
-            .map(|_| SchemeStats::decode_from(buf))
-            .collect::<Result<_, _>>()?;
-        // the v3 storage tail is absent in version-2 bodies; absence
-        // decodes as zeros (no store attached)
-        if !buf.is_empty() {
-            for field in [
-                &mut s.store_hits,
-                &mut s.store_misses,
-                &mut s.store_demotes,
-                &mut s.store_promotes,
-                &mut s.store_records,
-                &mut s.store_bytes,
-                &mut s.store_segments,
-                &mut s.store_write_errors,
-            ] {
-                *field = get_uvarint(buf)?;
+        for tail in 2..=LAST_TAIL {
+            if tail > 2 && buf.is_empty() {
+                break;
             }
-        }
-        // the v4 connection tail is absent in v2/v3 bodies; absence
-        // decodes as zeros (a server predating connection accounting)
-        if !buf.is_empty() {
-            for field in [
-                &mut s.conns_open,
-                &mut s.conns_accepted,
-                &mut s.accept_eagain,
-                &mut s.idle_timeouts,
-            ] {
-                *field = get_uvarint(buf)?;
+            if tail == 5 {
+                s.stages = StageSnapshot {
+                    read_decode: decode_histogram(buf)?,
+                    queue_wait: decode_histogram(buf)?,
+                    service: decode_histogram(buf)?,
+                    reorder_wait: decode_histogram(buf)?,
+                    write_flush: decode_histogram(buf)?,
+                };
             }
-        }
-        // the v5 tracing tail is absent in v2–v4 bodies; absence
-        // decodes as zeros (a server predating stage tracing)
-        if !buf.is_empty() {
-            s.stages = StageSnapshot {
-                read_decode: decode_histogram(buf)?,
-                queue_wait: decode_histogram(buf)?,
-                service: decode_histogram(buf)?,
-                reorder_wait: decode_histogram(buf)?,
-                write_flush: decode_histogram(buf)?,
-            };
-            for field in [
-                &mut s.queue_full_stalls,
-                &mut s.read_interest_drops,
-                &mut s.read_interest_restores,
-                &mut s.inbox_wakeups,
-                &mut s.queue_depth,
-            ] {
-                *field = get_uvarint(buf)?;
+            for sc in SCALARS.iter().filter(|sc| sc.tail == tail) {
+                *(sc.field)(&mut s) = get_uvarint(buf)?;
             }
-        }
-        // the v6 replication tail is absent in v2–v5 bodies; absence
-        // decodes as zeros (a server predating replication)
-        if !buf.is_empty() {
-            for field in [
-                &mut s.repl_push_merged,
-                &mut s.repl_push_duplicates,
-                &mut s.repl_pushed,
-                &mut s.repl_sweeps,
-                &mut s.repl_errors,
-            ] {
-                *field = get_uvarint(buf)?;
-            }
-        }
-        // the v7 chunk/distribution tail is absent in v2–v6 bodies;
-        // absence decodes as zeros (a server predating giant graphs)
-        if !buf.is_empty() {
-            for field in [
-                &mut s.chunk_sessions,
-                &mut s.chunk_chunks,
-                &mut s.chunk_bytes,
-                &mut s.chunk_aborts,
-                &mut s.chunk_carry_peak,
-                &mut s.delegated_proves,
-                &mut s.delegated_errors,
-                &mut s.outcome_merges,
-            ] {
-                *field = get_uvarint(buf)?;
-            }
-        }
-        // the v8 audit/interactive tail is absent in v2–v7 bodies;
-        // absence decodes as zeros (a server predating auditing)
-        if !buf.is_empty() {
-            for field in [
-                &mut s.audit_sweeps,
-                &mut s.audit_sampled,
-                &mut s.audit_failed,
-                &mut s.audit_quarantined,
-                &mut s.interactive_sessions,
-                &mut s.interactive_rejects,
-            ] {
-                *field = get_uvarint(buf)?;
+            if tail == 2 {
+                s.latency = decode_histogram(buf)?;
+                let rows = get_uvarint(buf)? as usize;
+                if rows > MAX_SCHEME_ROWS {
+                    return Err(DecodeError::OutOfBits);
+                }
+                s.per_scheme = (0..rows)
+                    .map(|_| SchemeStats::decode_from(buf))
+                    .collect::<Result<_, _>>()?;
             }
         }
         Ok(s)
@@ -1009,70 +898,26 @@ impl StatsSnapshot {
     /// Folds another node's snapshot into this one: the fleet view
     /// `dpc cluster-stats` renders. Counters and gauges sum (gauges
     /// like `cache_entries` or `store_records` become fleet totals),
-    /// latency histograms add bucket-wise, and per-scheme rows merge
-    /// by scheme id — a scheme registered on only some nodes still
-    /// gets one row.
+    /// peaks take the worst node's, latency histograms add
+    /// bucket-wise, and per-scheme rows merge by scheme id — a scheme
+    /// registered on only some nodes still gets one row.
     pub fn absorb(&mut self, other: &StatsSnapshot) {
-        self.certify += other.certify;
-        self.check += other.check;
-        self.gen += other.gen;
-        self.soundness += other.soundness;
-        self.stats += other.stats;
-        self.errors += other.errors;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
-        self.cache_entries += other.cache_entries;
-        self.cache_bytes += other.cache_bytes;
-        self.batches += other.batches;
-        self.batched_certifies += other.batched_certifies;
-        self.proves += other.proves;
+        for sc in SCALARS {
+            let theirs = (sc.get)(other);
+            let mine = (sc.field)(self);
+            *mine = match sc.kind {
+                Kind::Peak => (*mine).max(theirs),
+                Kind::Counter | Kind::Gauge => *mine + theirs,
+            };
+        }
         self.latency.absorb(&other.latency);
+        self.stages.absorb(&other.stages);
         for row in &other.per_scheme {
             match self.per_scheme.iter_mut().find(|r| r.id == row.id) {
                 Some(mine) => mine.absorb(row),
                 None => self.per_scheme.push(row.clone()),
             }
         }
-        self.store_hits += other.store_hits;
-        self.store_misses += other.store_misses;
-        self.store_demotes += other.store_demotes;
-        self.store_promotes += other.store_promotes;
-        self.store_records += other.store_records;
-        self.store_bytes += other.store_bytes;
-        self.store_segments += other.store_segments;
-        self.store_write_errors += other.store_write_errors;
-        self.conns_open += other.conns_open;
-        self.conns_accepted += other.conns_accepted;
-        self.accept_eagain += other.accept_eagain;
-        self.idle_timeouts += other.idle_timeouts;
-        self.stages.absorb(&other.stages);
-        self.queue_full_stalls += other.queue_full_stalls;
-        self.read_interest_drops += other.read_interest_drops;
-        self.read_interest_restores += other.read_interest_restores;
-        self.inbox_wakeups += other.inbox_wakeups;
-        self.queue_depth += other.queue_depth;
-        self.repl_push_merged += other.repl_push_merged;
-        self.repl_push_duplicates += other.repl_push_duplicates;
-        self.repl_pushed += other.repl_pushed;
-        self.repl_sweeps += other.repl_sweeps;
-        self.repl_errors += other.repl_errors;
-        self.chunk_sessions += other.chunk_sessions;
-        self.chunk_chunks += other.chunk_chunks;
-        self.chunk_bytes += other.chunk_bytes;
-        self.chunk_aborts += other.chunk_aborts;
-        // a peak is a max, not a sum: the fleet's high-water mark is
-        // the worst node's high-water mark
-        self.chunk_carry_peak = self.chunk_carry_peak.max(other.chunk_carry_peak);
-        self.delegated_proves += other.delegated_proves;
-        self.delegated_errors += other.delegated_errors;
-        self.outcome_merges += other.outcome_merges;
-        self.audit_sweeps += other.audit_sweeps;
-        self.audit_sampled += other.audit_sampled;
-        self.audit_failed += other.audit_failed;
-        self.audit_quarantined += other.audit_quarantined;
-        self.interactive_sessions += other.interactive_sessions;
-        self.interactive_rejects += other.interactive_rejects;
     }
 }
 
@@ -1252,269 +1097,21 @@ impl fmt::Display for StatsSnapshot {
 pub fn prometheus_text(s: &StatsSnapshot) -> String {
     use std::fmt::Write;
     let mut out = String::with_capacity(4096);
-    let mut metric = |name: &str, kind: &str, help: &str, series: &[(String, u64)]| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        for (labels, value) in series {
-            let _ = writeln!(out, "{name}{labels} {value}");
+    // every table row, one family per series name: the five
+    // `dpc_requests_total{kind=...}` rows share one HELP/TYPE header
+    let mut family = "";
+    for sc in SCALARS {
+        let name = sc.prom.split('{').next().unwrap_or(sc.prom);
+        if name != family {
+            family = name;
+            let kind = match sc.kind {
+                Kind::Counter => "counter",
+                Kind::Gauge | Kind::Peak => "gauge",
+            };
+            let _ = writeln!(out, "# HELP {name} {}", sc.help);
+            let _ = writeln!(out, "# TYPE {name} {kind}");
         }
-    };
-    metric(
-        "dpc_requests_total",
-        "counter",
-        "Requests received, by wire kind.",
-        &[
-            ("{kind=\"certify\"}".into(), s.certify),
-            ("{kind=\"check\"}".into(), s.check),
-            ("{kind=\"gen\"}".into(), s.gen),
-            ("{kind=\"soundness\"}".into(), s.soundness),
-            ("{kind=\"stats\"}".into(), s.stats),
-        ],
-    );
-    let plain: [(&str, &str, &str, u64); 40] = [
-        (
-            "dpc_errors_total",
-            "counter",
-            "Malformed requests answered with an error.",
-            s.errors,
-        ),
-        (
-            "dpc_proves_total",
-            "counter",
-            "Honest-prover executions.",
-            s.proves,
-        ),
-        (
-            "dpc_batches_total",
-            "counter",
-            "Worker batches with more than one certify.",
-            s.batches,
-        ),
-        (
-            "dpc_batched_certifies_total",
-            "counter",
-            "Certify requests that rode in a multi-request batch.",
-            s.batched_certifies,
-        ),
-        (
-            "dpc_cache_hits_total",
-            "counter",
-            "Cache hits.",
-            s.cache_hits,
-        ),
-        (
-            "dpc_cache_misses_total",
-            "counter",
-            "Cache misses.",
-            s.cache_misses,
-        ),
-        (
-            "dpc_cache_evictions_total",
-            "counter",
-            "Cache evictions.",
-            s.cache_evictions,
-        ),
-        (
-            "dpc_cache_entries",
-            "gauge",
-            "Live cache entries.",
-            s.cache_entries,
-        ),
-        (
-            "dpc_cache_bytes",
-            "gauge",
-            "Bytes charged against the cache budget.",
-            s.cache_bytes,
-        ),
-        (
-            "dpc_store_hits_total",
-            "counter",
-            "Cold-tier lookups that found a record.",
-            s.store_hits,
-        ),
-        (
-            "dpc_store_misses_total",
-            "counter",
-            "Cold-tier lookups that found nothing.",
-            s.store_misses,
-        ),
-        (
-            "dpc_store_records",
-            "gauge",
-            "Live records in the cold tier.",
-            s.store_records,
-        ),
-        (
-            "dpc_store_bytes",
-            "gauge",
-            "Live record bytes in the cold tier.",
-            s.store_bytes,
-        ),
-        (
-            "dpc_conns_open",
-            "gauge",
-            "Currently open connections.",
-            s.conns_open,
-        ),
-        (
-            "dpc_conns_accepted_total",
-            "counter",
-            "Connections accepted since boot.",
-            s.conns_accepted,
-        ),
-        (
-            "dpc_idle_timeouts_total",
-            "counter",
-            "Connections closed by the idle timeout.",
-            s.idle_timeouts,
-        ),
-        (
-            "dpc_queue_depth",
-            "gauge",
-            "Jobs waiting in the worker queue.",
-            s.queue_depth,
-        ),
-        (
-            "dpc_queue_full_stalls_total",
-            "counter",
-            "Jobs parked on their connection because the queue was full.",
-            s.queue_full_stalls,
-        ),
-        (
-            "dpc_read_interest_drops_total",
-            "counter",
-            "Read-interest drops while a job was parked.",
-            s.read_interest_drops,
-        ),
-        (
-            "dpc_read_interest_restores_total",
-            "counter",
-            "Read-interest restores after a parked job enqueued.",
-            s.read_interest_restores,
-        ),
-        (
-            "dpc_inbox_wakeups_total",
-            "counter",
-            "Worker completions that had to wake an event loop.",
-            s.inbox_wakeups,
-        ),
-        (
-            "dpc_repl_push_merged_total",
-            "counter",
-            "Records absorbed from StorePush frames.",
-            s.repl_push_merged,
-        ),
-        (
-            "dpc_repl_push_duplicates_total",
-            "counter",
-            "StorePush records that were already present.",
-            s.repl_push_duplicates,
-        ),
-        (
-            "dpc_repl_pushed_total",
-            "counter",
-            "Records pushed to peers that lacked them.",
-            s.repl_pushed,
-        ),
-        (
-            "dpc_repl_sweeps_total",
-            "counter",
-            "Completed anti-entropy sweep rounds.",
-            s.repl_sweeps,
-        ),
-        (
-            "dpc_repl_errors_total",
-            "counter",
-            "Failed peer exchanges during sweeps.",
-            s.repl_errors,
-        ),
-        (
-            "dpc_chunk_sessions_total",
-            "counter",
-            "Chunked graph-upload sessions opened.",
-            s.chunk_sessions,
-        ),
-        (
-            "dpc_chunk_chunks_total",
-            "counter",
-            "GraphChunk frames accepted into a session.",
-            s.chunk_chunks,
-        ),
-        (
-            "dpc_chunk_bytes_total",
-            "counter",
-            "Payload bytes streamed through chunk sessions.",
-            s.chunk_bytes,
-        ),
-        (
-            "dpc_chunk_aborts_total",
-            "counter",
-            "Chunk sessions aborted or abandoned.",
-            s.chunk_aborts,
-        ),
-        (
-            "dpc_chunk_carry_peak_bytes",
-            "gauge",
-            "Peak stream-decoder carry buffer across chunk sessions.",
-            s.chunk_carry_peak,
-        ),
-        (
-            "dpc_delegated_proves_total",
-            "counter",
-            "Graph components delegated to ring peers.",
-            s.delegated_proves,
-        ),
-        (
-            "dpc_delegated_errors_total",
-            "counter",
-            "Delegations that fell back to a local prove.",
-            s.delegated_errors,
-        ),
-        (
-            "dpc_outcome_merges_total",
-            "counter",
-            "Component outcomes folded into one merged Outcome.",
-            s.outcome_merges,
-        ),
-        (
-            "dpc_audit_sweeps_total",
-            "counter",
-            "Completed audit sweeps over the stored certificates.",
-            s.audit_sweeps,
-        ),
-        (
-            "dpc_audit_sampled_total",
-            "counter",
-            "Stored records sampled by the auditor.",
-            s.audit_sampled,
-        ),
-        (
-            "dpc_audit_failed_total",
-            "counter",
-            "Sampled records that were CRC-valid but failed re-verification.",
-            s.audit_failed,
-        ),
-        (
-            "dpc_audit_quarantined_total",
-            "counter",
-            "Failed records purged from both cache tiers.",
-            s.audit_quarantined,
-        ),
-        (
-            "dpc_interactive_sessions_total",
-            "counter",
-            "Interactive (dMAM) wire sessions opened.",
-            s.interactive_sessions,
-        ),
-        (
-            "dpc_interactive_rejects_total",
-            "counter",
-            "Interactive verdicts that rejected at least one node.",
-            s.interactive_rejects,
-        ),
-    ];
-    for (name, kind, help, value) in plain {
-        metric(name, kind, help, &[(String::new(), value)]);
+        let _ = writeln!(out, "{} {}", sc.prom, (sc.get)(s));
     }
     let mut histogram = |name: &str, help: &str, series: &[(&str, &HistogramSnapshot)]| {
         let _ = writeln!(out, "# HELP {name} {help}");
@@ -2096,5 +1693,32 @@ mod tests {
         );
         // one HELP/TYPE per family, even with multiple series
         assert_eq!(text.matches("# TYPE dpc_scheme_certify_total").count(), 1);
+    }
+
+    #[test]
+    fn prometheus_text_exports_every_table_row() {
+        let text = prometheus_text(&StatsSnapshot {
+            store_write_errors: 3,
+            accept_eagain: 4,
+            ..StatsSnapshot::default()
+        });
+        for sc in SCALARS {
+            assert!(
+                text.contains(&format!("\n{} ", sc.prom)),
+                "{}: {text}",
+                sc.prom
+            );
+        }
+        // the five that were on the wire but missing from the scrape
+        for series in [
+            "dpc_store_demotes_total 0",
+            "dpc_store_promotes_total 0",
+            "dpc_store_segments 0",
+            "dpc_store_write_errors_total 3",
+            "dpc_accept_eagain_total 4",
+        ] {
+            assert!(text.contains(series), "{series}: {text}");
+        }
+        assert_eq!(text.matches("# TYPE dpc_requests_total").count(), 1);
     }
 }

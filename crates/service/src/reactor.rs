@@ -25,21 +25,14 @@
 //! set — the wakeup path from the worker pool is just another
 //! readable fd.
 //!
-//! Per-connection state machine (all stages explicit, no thread
-//! parks):
-//!
-//! * **read** — drain the socket into `rbuf` until `EAGAIN` (bounded
-//!   per wakeup so one firehose cannot starve its neighbors);
-//! * **decode** — peel every complete length-prefixed frame: this is
-//!   where pipelining falls out, a single read can yield many
-//!   requests, each tagged with the connection's next sequence
-//!   number;
-//! * **respond** — completions land in a `seq → body` reorder map
-//!   and move to the write queue strictly in sequence order, exactly
-//!   the contract the threaded writer enforces;
-//! * **write** — everything ready is coalesced into one vectored
-//!   (`writev`-style) flush per wakeup; a short write arms
-//!   `EPOLLOUT` and the flush resumes when the socket drains.
+//! Per connection the loop owns only the I/O around the shared
+//! [`ConnCore`]: it drains the socket into `rbuf` until `EAGAIN`
+//! (bounded per wakeup so one firehose cannot starve its neighbors),
+//! lets the core peel every whole frame (pipelining: one read can
+//! yield many requests), files completions in a [`Reorder`], and
+//! coalesces everything ready into one vectored (`writev`-style)
+//! flush per wakeup; a short write arms `EPOLLOUT` and the flush
+//! resumes when the socket drains.
 //!
 //! Back-pressure: when the job queue is full the decoded job parks in
 //! the connection's `stalled` slot and the loop drops read interest
@@ -49,12 +42,10 @@
 //! (no bytes, no responses owed) are reaped after
 //! [`ServeConfig::idle_timeout`](crate::ServeConfig).
 
+use crate::conn::{ConnCore, Done, Reorder, Step, READ_CHUNK};
 use crate::metrics::{Metrics, Trace};
-use crate::server::{
-    count_request, duration_us, trace_written, ChunkSessions, ChunkStep, InteractiveSessions,
-    InteractiveStep, Job, ReplyTo, Shared, NEXT_CONN_ID,
-};
-use crate::wire::{self, Request, Response, WireError};
+use crate::server::{duration_us, trace_written, Job, ReplyTo, Shared};
+use crate::wire;
 use epoll::{Epoll, Events, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -68,10 +59,9 @@ const TOKEN_WAKER: u64 = 0;
 const TOKEN_LISTENER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// Read granularity, and the per-wakeup read bound (one connection
-/// may consume at most `READ_BURST` chunks per readiness event; the
-/// level-triggered set re-reports it immediately if more is pending).
-const READ_CHUNK: usize = 16 * 1024;
+/// The per-wakeup read bound: one connection may consume at most
+/// `READ_BURST` chunks per readiness event; the level-triggered set
+/// re-reports it immediately if more is pending.
 const READ_BURST: usize = 4;
 
 /// Max frames folded into one vectored flush call.
@@ -80,23 +70,13 @@ const MAX_FLUSH_SLICES: usize = 64;
 /// Events drained per `epoll_wait`.
 const WAIT_BATCH: usize = 1024;
 
-/// One finished response on its way back to a connection.
-pub(crate) struct Completion {
-    pub(crate) conn: u64,
-    pub(crate) seq: u64,
-    pub(crate) body: Vec<u8>,
-    /// When the worker finished building the body (reorder-wait
-    /// starts here).
-    pub(crate) finished: Instant,
-    pub(crate) trace: Option<Trace>,
-}
-
 /// The worker → reactor handoff: completions (and, between loops,
 /// freshly accepted sockets) guarded by a mutex, plus the eventfd
 /// that makes the owning loop's `epoll_wait` return.
 pub(crate) struct Inbox {
     waker: Waker,
-    completions: Mutex<Vec<Completion>>,
+    /// Finished responses, tagged with their connection's token.
+    completions: Mutex<Vec<(u64, Done)>>,
     incoming: Mutex<Vec<TcpStream>>,
     /// Counts eventfd wakeups; Arc'd (not reached through `Shared`)
     /// because jobs hold the inbox while `Shared` holds the queue.
@@ -116,16 +96,10 @@ impl Inbox {
     /// Queues a finished response and wakes the loop (only the first
     /// completion after a drain pays the eventfd write — the waker
     /// stays readable until drained, so later sends just append).
-    pub(crate) fn send(&self, conn: u64, seq: u64, body: Vec<u8>, trace: Option<Trace>) {
+    pub(crate) fn send(&self, conn: u64, done: Done) {
         let mut q = self.completions.lock().expect("inbox poisoned");
         let was_empty = q.is_empty();
-        q.push(Completion {
-            conn,
-            seq,
-            body,
-            finished: Instant::now(),
-            trace,
-        });
+        q.push((conn, done));
         drop(q);
         if was_empty {
             self.metrics.inbox_wakeups.fetch_add(1, Ordering::Relaxed);
@@ -191,14 +165,6 @@ pub(crate) fn spawn(shared: &Arc<Shared>, listener: TcpListener) -> io::Result<R
     Ok((threads, inboxes))
 }
 
-/// Why a connection is being torn down (metrics accounting differs).
-enum Close {
-    /// Clean or errored teardown.
-    Gone,
-    /// Reaped by the idle timeout.
-    Idle,
-}
-
 /// A frame in the write queue, carrying what its trace still needs:
 /// when it became write-eligible (write-flush starts there) and the
 /// reorder-wait it already paid.
@@ -211,18 +177,13 @@ struct OutFrame {
 
 struct Conn {
     stream: TcpStream,
-    /// Trace-id prefix: process-wide connection id (epoll tokens are
-    /// per-loop and collide across loops, so they cannot be it).
-    id: u64,
+    /// The connection protocol: framing, sessions, sequence numbers.
+    core: ConnCore,
     /// Unparsed inbound bytes (`roff..` is live).
     rbuf: Vec<u8>,
     roff: usize,
-    /// Sequence number the next decoded request gets.
-    next_seq: u64,
-    /// Sequence number the next written response must carry.
-    next_write: u64,
-    /// Finished responses that arrived out of order.
-    pending: HashMap<u64, Completion>,
+    /// Finished responses waiting for their turn in sequence order.
+    order: Reorder<Done>,
     /// Encoded frames ready to write (front may be partially sent).
     wqueue: VecDeque<OutFrame>,
     woff: usize,
@@ -238,22 +199,16 @@ struct Conn {
     /// Interest bits currently registered in the epoll set.
     interest: u32,
     last_activity: Instant,
-    /// Chunked-upload reassembly state (at most one open session).
-    chunks: ChunkSessions,
-    /// Interactive-verification state (at most one open session).
-    interactive: InteractiveSessions,
 }
 
 impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
+            core: ConnCore::new(),
             rbuf: Vec::new(),
             roff: 0,
-            next_seq: 0,
-            next_write: 0,
-            pending: HashMap::new(),
+            order: Reorder::default(),
             wqueue: VecDeque::new(),
             woff: 0,
             stalled: None,
@@ -262,20 +217,17 @@ impl Conn {
             closing: false,
             interest: EPOLLIN | EPOLLRDHUP,
             last_activity: Instant::now(),
-            chunks: ChunkSessions::default(),
-            interactive: InteractiveSessions::default(),
         }
     }
 
     /// Files one finished response and promotes every response that
-    /// is now in sequence order into the write queue — the same
-    /// reorder-by-seq contract as the threaded connection writer.
-    /// Promotion is where a response becomes write-eligible, so the
-    /// reorder-wait stage closes here.
-    fn deliver(&mut self, c: Completion, metrics: &Metrics) {
+    /// is now in sequence order into the write queue. Promotion is
+    /// where a response becomes write-eligible, so the reorder-wait
+    /// stage closes here.
+    fn deliver(&mut self, c: Done, metrics: &Metrics) {
         self.last_activity = Instant::now();
-        self.pending.insert(c.seq, c);
-        while let Some(c) = self.pending.remove(&self.next_write) {
+        self.order.insert(c.seq, c);
+        while let Some(c) = self.order.pop() {
             debug_assert!(c.body.len() <= wire::MAX_FRAME_BYTES);
             let now = Instant::now();
             let reorder = now.saturating_duration_since(c.finished);
@@ -289,7 +241,6 @@ impl Conn {
                 reorder_us: duration_us(reorder),
                 trace: c.trace,
             });
-            self.next_write += 1;
             self.awaiting -= 1;
         }
     }
@@ -423,7 +374,7 @@ impl EventLoop {
                     TOKEN_LISTENER => accept_ready = true,
                     token => {
                         if ev.readable() && !self.on_readable(token) {
-                            self.close(token, Close::Gone);
+                            self.close(token);
                             continue;
                         }
                         if self.conns.contains_key(&token) {
@@ -535,12 +486,11 @@ impl EventLoop {
                 .lock()
                 .expect("inbox poisoned"),
         );
-        for c in completions {
+        for (token, done) in completions {
             // a connection that died with requests in flight simply
             // drops its late completions here
-            if let Some(conn) = self.conns.get_mut(&c.conn) {
-                let token = c.conn;
-                conn.deliver(c, &self.shared.metrics);
+            if let Some(conn) = self.conns.get_mut(&token) {
+                conn.deliver(done, &self.shared.metrics);
                 dirty.push(token);
             }
         }
@@ -580,143 +530,28 @@ impl EventLoop {
         true
     }
 
-    /// Peels complete frames off the read buffer: each one becomes a
-    /// sequence-numbered job for the worker queue (or an immediate
-    /// error response). Stops at a partial frame, a stall, or a
+    /// Runs every complete frame in the read buffer through the
+    /// connection core, stopping at a partial frame, a stall, or a
     /// framing error. This loop *is* request pipelining — nothing
     /// waits for a response before the next frame is decoded.
     fn decode_frames(&mut self, token: u64) {
-        let shared = Arc::clone(&self.shared);
-        let inbox = Arc::clone(&self.inboxes[self.idx]);
+        let shared = &self.shared;
+        let inbox = &self.inboxes[self.idx];
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         while conn.stalled.is_none() && !conn.closing {
-            let avail = conn.rbuf.len() - conn.roff;
-            if avail < 4 {
+            let reply = || ReplyTo::Reactor {
+                conn: token,
+                inbox: Arc::clone(inbox),
+            };
+            let Some((used, step)) = conn.core.step(&conn.rbuf[conn.roff..], shared, reply) else {
                 break;
-            }
-            let header: [u8; 4] = conn.rbuf[conn.roff..conn.roff + 4]
-                .try_into()
-                .expect("4 bytes");
-            let len = u32::from_le_bytes(header) as usize;
-            if len > wire::MAX_FRAME_BYTES {
-                // same contract as the threaded reader: answer once,
-                // then drop — the stream cannot be resynchronized
-                let msg = WireError::Protocol(format!("frame of {len} bytes exceeds the limit"))
-                    .to_string();
-                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                conn.awaiting += 1;
-                conn.deliver(
-                    Completion {
-                        conn: token,
-                        seq,
-                        body: Response::Error(msg).encode(),
-                        finished: Instant::now(),
-                        trace: None,
-                    },
-                    &shared.metrics,
-                );
-                conn.closing = true;
-                break;
-            }
-            if avail < 4 + len {
-                break;
-            }
-            let body = &conn.rbuf[conn.roff + 4..conn.roff + 4 + len];
-            let seq = conn.next_seq;
-            let decode_start = Instant::now();
-            match Request::decode(body) {
-                Ok(req) => {
-                    // capture the wire kind before the chunk filter
-                    // consumes the request: a certify born from a
-                    // GraphChunkEnd keeps "chunkend" in its trace
-                    let kind = req.kind_tag();
-                    let scheme = req.scheme().map(|s| s.0).unwrap_or(0);
-                    let req = match conn.chunks.step(req, &shared.metrics) {
-                        ChunkStep::Reply(resp) => {
-                            // chunk acks and chunk protocol errors are
-                            // answered on the loop, never queued; they
-                            // still occupy a sequence slot so the
-                            // reorder contract holds
-                            shared.metrics.stats.fetch_add(1, Ordering::Relaxed);
-                            conn.next_seq += 1;
-                            conn.awaiting += 1;
-                            conn.roff += 4 + len;
-                            conn.deliver(
-                                Completion {
-                                    conn: token,
-                                    seq,
-                                    body: resp.encode(),
-                                    finished: Instant::now(),
-                                    trace: None,
-                                },
-                                &shared.metrics,
-                            );
-                            continue;
-                        }
-                        ChunkStep::Pass(req) => match conn.interactive.step(req, &shared) {
-                            // interactive rounds are answered on the
-                            // loop as well, so the session transcript
-                            // is byte-identical to the threaded front
-                            // end's by construction
-                            InteractiveStep::Reply(resp) => {
-                                conn.next_seq += 1;
-                                conn.awaiting += 1;
-                                conn.roff += 4 + len;
-                                conn.deliver(
-                                    Completion {
-                                        conn: token,
-                                        seq,
-                                        body: resp.encode(),
-                                        finished: Instant::now(),
-                                        trace: None,
-                                    },
-                                    &shared.metrics,
-                                );
-                                continue;
-                            }
-                            InteractiveStep::Pass(req) => {
-                                count_request(&shared.metrics, &req);
-                                req
-                            }
-                        },
-                        ChunkStep::Certify {
-                            graph,
-                            bypass_cache,
-                            scheme,
-                        } => {
-                            shared.metrics.certify.fetch_add(1, Ordering::Relaxed);
-                            Request::Certify {
-                                graph,
-                                bypass_cache,
-                                cached_only: false,
-                                summary: true,
-                                scheme,
-                            }
-                        }
-                    };
-                    let read_decode = decode_start.elapsed();
-                    shared.metrics.stages.read_decode.record(read_decode);
-                    let mut trace = Trace::new((conn.id << 32) | (seq & 0xffff_ffff), kind, scheme);
-                    trace.read_decode_us = duration_us(read_decode);
-                    let received = Instant::now();
-                    let job = Job {
-                        req,
-                        seq,
-                        reply: ReplyTo::Reactor {
-                            conn: token,
-                            inbox: Arc::clone(&inbox),
-                        },
-                        received,
-                        dequeued: received,
-                        trace,
-                    };
-                    conn.next_seq += 1;
-                    conn.awaiting += 1;
-                    conn.roff += 4 + len;
+            };
+            conn.roff += used;
+            conn.awaiting += 1;
+            match step {
+                Step::Job(job) => {
                     if let Err(job) = shared.queue.try_push(job) {
                         // queue full: park the job, stop reading; the
                         // retry runs on completion wakeups and ticks
@@ -727,23 +562,10 @@ impl EventLoop {
                         self.stalled.push(token);
                     }
                 }
-                Err(e) => {
-                    // request-level decode error: a normal answer on
-                    // a healthy connection (framing is intact)
-                    shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    conn.next_seq += 1;
-                    conn.awaiting += 1;
-                    conn.roff += 4 + len;
-                    conn.deliver(
-                        Completion {
-                            conn: token,
-                            seq,
-                            body: Response::Error(e.to_string()).encode(),
-                            finished: Instant::now(),
-                            trace: None,
-                        },
-                        &shared.metrics,
-                    );
+                Step::Reply(done) => conn.deliver(done, &shared.metrics),
+                Step::Close(done) => {
+                    conn.deliver(done, &shared.metrics);
+                    conn.closing = true;
                 }
             }
         }
@@ -791,11 +613,11 @@ impl EventLoop {
             return;
         };
         if conn.flush(&self.shared).is_err() {
-            self.close(token, Close::Gone);
+            self.close(token);
             return;
         }
         if conn.drained() {
-            self.close(token, Close::Gone);
+            self.close(token);
             return;
         }
         let want = conn.desired_interest();
@@ -827,20 +649,22 @@ impl EventLoop {
             .map(|(&t, _)| t)
             .collect();
         for token in reap {
-            self.close(token, Close::Idle);
+            self.shared
+                .metrics
+                .idle_timeouts
+                .fetch_add(1, Ordering::Relaxed);
+            self.close(token);
         }
     }
 
-    fn close(&mut self, token: u64, why: Close) {
+    fn close(&mut self, token: u64) {
         if let Some(mut conn) = self.conns.remove(&token) {
             let _ = self.epoll.delete(&conn.stream);
-            let m = &self.shared.metrics;
-            conn.chunks.abandon(m);
-            conn.interactive.abandon();
-            m.conns_open.fetch_sub(1, Ordering::Relaxed);
-            if matches!(why, Close::Idle) {
-                m.idle_timeouts.fetch_add(1, Ordering::Relaxed);
-            }
+            conn.core.close(&self.shared.metrics);
+            self.shared
+                .metrics
+                .conns_open
+                .fetch_sub(1, Ordering::Relaxed);
         }
         self.stalled.retain(|&t| t != token);
     }
@@ -851,11 +675,8 @@ impl EventLoop {
     fn drain_for_shutdown(&mut self) {
         let mut dirty = Vec::new();
         self.route_completions(&mut dirty);
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                let _ = conn.flush(&self.shared);
-            }
+        for conn in self.conns.values_mut() {
+            let _ = conn.flush(&self.shared);
         }
     }
 }

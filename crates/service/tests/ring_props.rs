@@ -17,6 +17,12 @@ fn node_addrs(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("10.1.{i}.7:4700")).collect()
 }
 
+/// Same-host nodes on adjacent ports (`127.0.0.1:4700..`): addresses
+/// that differ only in their last digit, as a one-machine fleet has.
+fn same_host_addrs(n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("127.0.0.1:{}", 4700 + i)).collect()
+}
+
 /// A key shaped like the client's routing keys: a small scheme id
 /// varint followed by 16 random bytes standing in for the canonical
 /// graph hash.
@@ -198,28 +204,31 @@ proptest! {
     }
 
     /// Load balance: over >= 1k random keys the busiest node stays
-    /// within 2x of the uniform share, for every ring size 3..=8.
+    /// within 2x of the uniform share, for every ring size 3..=8, on
+    /// distinct hosts and on one host's adjacent ports.
     #[test]
     fn distribution_stays_within_2x_of_uniform(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(39));
         const KEYS: usize = 1024;
         let keys: Vec<Vec<u8>> = (0..KEYS).map(|_| synthetic_key(&mut rng)).collect();
         for n in 3usize..=8 {
-            let ring = Ring::new(node_addrs(n)).unwrap();
-            let mut counts = vec![0usize; n];
-            for key in &keys {
-                counts[ring.owner(key)] += 1;
+            for addrs in [node_addrs(n), same_host_addrs(n)] {
+                let ring = Ring::new(addrs.clone()).unwrap();
+                let mut counts = vec![0usize; n];
+                for key in &keys {
+                    counts[ring.owner(key)] += 1;
+                }
+                let max = *counts.iter().max().unwrap();
+                let bound = 2 * KEYS / n;
+                prop_assert!(
+                    max <= bound,
+                    "{addrs:?}: busiest owns {max} of {KEYS} keys (bound {bound}): {counts:?}"
+                );
+                prop_assert!(
+                    counts.iter().all(|&c| c > 0),
+                    "{addrs:?}: some node owns nothing: {counts:?}"
+                );
             }
-            let max = *counts.iter().max().unwrap();
-            let bound = 2 * KEYS / n;
-            prop_assert!(
-                max <= bound,
-                "{n} nodes: busiest owns {max} of {KEYS} keys (bound {bound}): {counts:?}"
-            );
-            prop_assert!(
-                counts.iter().all(|&c| c > 0),
-                "{n} nodes: some node owns nothing: {counts:?}"
-            );
         }
     }
 }
