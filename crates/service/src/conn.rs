@@ -2,7 +2,10 @@
 //! front ends drive.
 //!
 //! [`ConnCore::step`] takes a connection's unparsed bytes and peels one
-//! frame. It decodes the request and runs it through the two
+//! frame. A certify is only validated: its graph stays as its wire
+//! bytes, one copy out of the read buffer, because the worker probes
+//! the cache on those bytes and decodes the graph only on a miss.
+//! Every other request is decoded and runs through the two
 //! per-connection filters — chunked uploads ([`ChunkSessions`]) and
 //! interactive dMAM rounds ([`InteractiveSessions`]). It bumps the
 //! request counters and starts the request's [`Trace`]. The result is
@@ -24,9 +27,9 @@
 
 use crate::metrics::{Metrics, Trace};
 use crate::registry::SchemeId;
-use crate::server::{duration_us, unknown_scheme, Job, ReplyTo, Shared};
+use crate::server::{duration_us, unknown_scheme, CertifyJob, Job, ReplyTo, Shared, Work};
 use crate::store::crc32_update;
-use crate::wire::{self, Request, Response, WireError};
+use crate::wire::{self, Request, Response, Skimmed, WireError};
 use dpc_core::scheme::Assignment;
 use dpc_graph::Graph;
 use dpc_interactive::dmam::{challenge_from_seed, run_forged, DmamPlanarity};
@@ -121,16 +124,50 @@ impl ConnCore {
         let body = buf.get(4..4 + len)?;
         self.next_seq += 1;
         let used = 4 + len;
-        let answer =
-            |resp: Response| Some((used, Step::Reply(Done::now(seq, resp.encode(), None))));
         let decode_start = Instant::now();
-        let req = match Request::decode(body) {
-            Ok(req) => req,
+        let (work, kind, scheme) = match self.read(body, shared) {
+            ControlFlow::Continue(read) => read,
+            ControlFlow::Break(resp) => {
+                let done = Done::now(seq, resp.encode(), None);
+                return Some((used, Step::Reply(done)));
+            }
+        };
+        count_request(m, &work);
+        let read_decode = decode_start.elapsed();
+        m.stages.read_decode.record(read_decode);
+        let mut trace = Trace::new((self.id << 32) | (seq & 0xffff_ffff), kind, scheme);
+        trace.read_decode_us = duration_us(read_decode);
+        let received = Instant::now();
+        let job = Job {
+            work,
+            seq,
+            reply: reply(),
+            received,
+            dequeued: received,
+            trace,
+        };
+        Some((used, Step::Job(job)))
+    }
+
+    /// Reads one frame body: the job's work with the wire kind and
+    /// scheme id its trace carries, or the reply made here — a decode
+    /// error, a chunk ack or chunk error, or an interactive round.
+    fn read(&mut self, body: &[u8], shared: &Shared) -> ControlFlow<Response, (Work, u8, u16)> {
+        let m = &shared.metrics;
+        let req = match wire::skim_request(body) {
+            Ok(Skimmed::Request(req)) => req,
+            // a certify is only validated here: the worker probes the
+            // cache on its bytes and decodes the graph on a miss, so a
+            // hit never builds it (neither filter below takes a certify)
+            Ok(Skimmed::Certify(frame)) => {
+                let work = Work::Certify(CertifyJob::from_frame(&frame));
+                return ControlFlow::Continue((work, wire::REQ_CERTIFY as u8, frame.scheme.0));
+            }
             Err(e) => {
                 // a request-level decode error is a normal answer on a
                 // healthy connection: the framing is intact
                 m.errors.fetch_add(1, Ordering::Relaxed);
-                return answer(Response::Error(e.to_string()));
+                return ControlFlow::Break(Response::Error(e.to_string()));
             }
         };
         // the trace keeps the wire kind: a certify born from a
@@ -143,31 +180,14 @@ impl ConnCore {
                 // chunk acks and chunk errors share the stats bucket
                 // with the other maintenance kinds
                 m.stats.fetch_add(1, Ordering::Relaxed);
-                return answer(resp);
+                return ControlFlow::Break(resp);
             }
         };
         // interactive rounds are answered here too: the dMAM verifier
         // is a linear scan, and keeping it out of the worker pool makes
         // the transcript identical across front ends by construction
-        let req = match self.interactive.step(req, shared) {
-            ControlFlow::Continue(req) => req,
-            ControlFlow::Break(resp) => return answer(resp),
-        };
-        count_request(m, &req);
-        let read_decode = decode_start.elapsed();
-        m.stages.read_decode.record(read_decode);
-        let mut trace = Trace::new((self.id << 32) | (seq & 0xffff_ffff), kind, scheme);
-        trace.read_decode_us = duration_us(read_decode);
-        let received = Instant::now();
-        let job = Job {
-            req,
-            seq,
-            reply: reply(),
-            received,
-            dequeued: received,
-            trace,
-        };
-        Some((used, Step::Job(job)))
+        let req = self.interactive.step(req, shared)?;
+        ControlFlow::Continue((req.into(), kind, scheme))
     }
 
     /// Connection teardown: an unfinished upload counts as aborted.
@@ -208,29 +228,33 @@ impl<T> Reorder<T> {
 /// Bumps the per-kind request counter. An exhaustive match, so adding
 /// a `Request` variant without deciding its counter fails to compile
 /// instead of silently misattributing it.
-fn count_request(m: &Metrics, req: &Request) {
-    let counter = match req {
-        Request::Certify { .. } => &m.certify,
-        Request::Check { .. } => &m.check,
-        Request::Gen { .. } => &m.gen,
-        Request::SoundnessProbe { .. } => &m.soundness,
-        // introspection and replication-maintenance kinds share the
-        // stats counter — the v2 prefix is frozen, and the v6
-        // replication counters already break StoreList/StorePush
-        // traffic out by what it *did* (merged/duplicate records)
-        Request::Stats | Request::SlowLog | Request::StoreList | Request::StorePush { .. } => {
-            &m.stats
-        }
-        // chunk and interactive kinds never get here (the filters
-        // answer them, and a completed End arrives as the certify it
-        // becomes); these arms only keep the match exhaustive. Audit
-        // is a maintenance kind and rides the stats bucket.
-        Request::GraphChunkBegin { .. }
-        | Request::GraphChunk { .. }
-        | Request::GraphChunkEnd { .. }
-        | Request::InteractiveBegin { .. }
-        | Request::InteractiveRespond { .. }
-        | Request::Audit { .. } => &m.stats,
+fn count_request(m: &Metrics, work: &Work) {
+    let counter = match work {
+        Work::Certify(_) => &m.certify,
+        Work::Request(req) => match req {
+            Request::Check { .. } => &m.check,
+            Request::Gen { .. } => &m.gen,
+            Request::SoundnessProbe { .. } => &m.soundness,
+            // introspection and replication-maintenance kinds share
+            // the stats counter — the v2 prefix is frozen, and the v6
+            // replication counters already break StoreList/StorePush
+            // traffic out by what it *did* (merged/duplicate records)
+            Request::Stats | Request::SlowLog | Request::StoreList | Request::StorePush { .. } => {
+                &m.stats
+            }
+            // certify, chunk and interactive kinds never get here
+            // (every certify, a completed chunk End included, is
+            // `Work::Certify`, and the filters answer the rest); these
+            // arms only keep the match exhaustive. Audit is a
+            // maintenance kind and rides the stats bucket.
+            Request::Certify { .. }
+            | Request::GraphChunkBegin { .. }
+            | Request::GraphChunk { .. }
+            | Request::GraphChunkEnd { .. }
+            | Request::InteractiveBegin { .. }
+            | Request::InteractiveRespond { .. }
+            | Request::Audit { .. } => &m.stats,
+        },
     };
     counter.fetch_add(1, Ordering::Relaxed);
 }
@@ -580,7 +604,13 @@ mod tests {
             {
                 used += n;
                 seen.push(match step {
-                    Step::Job(job) => (job.seq, "job", vec![job.req.kind_tag()]),
+                    Step::Job(job) => {
+                        let kind = match &job.work {
+                            Work::Certify(_) => wire::REQ_CERTIFY as u8,
+                            Work::Request(req) => req.kind_tag(),
+                        };
+                        (job.seq, "job", vec![kind])
+                    }
                     Step::Reply(done) => (done.seq, "reply", done.body),
                     Step::Close(done) => {
                         seen.push((done.seq, "close", done.body));

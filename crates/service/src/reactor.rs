@@ -64,8 +64,9 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// re-reports it immediately if more is pending.
 const READ_BURST: usize = 4;
 
-/// Max frames folded into one vectored flush call.
-const MAX_FLUSH_SLICES: usize = 64;
+/// Max frames folded into one vectored flush call (two slices each:
+/// header and body).
+const MAX_FLUSH_FRAMES: usize = 64;
 
 /// Events drained per `epoll_wait`.
 const WAIT_BATCH: usize = 1024;
@@ -167,9 +168,12 @@ pub(crate) fn spawn(shared: &Arc<Shared>, listener: TcpListener) -> io::Result<R
 
 /// A frame in the write queue, carrying what its trace still needs:
 /// when it became write-eligible (write-flush starts there) and the
-/// reorder-wait it already paid.
+/// reorder-wait it already paid. The length header sits beside the
+/// body, and both leave as their own `IoSlice`, so queueing a
+/// response never copies its body.
 struct OutFrame {
-    bytes: Vec<u8>,
+    header: [u8; 4],
+    body: Vec<u8>,
     queued_at: Instant,
     reorder_us: u64,
     trace: Option<Trace>,
@@ -232,11 +236,9 @@ impl Conn {
             let now = Instant::now();
             let reorder = now.saturating_duration_since(c.finished);
             metrics.stages.reorder_wait.record(reorder);
-            let mut bytes = Vec::with_capacity(4 + c.body.len());
-            bytes.extend_from_slice(&(c.body.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&c.body);
             self.wqueue.push_back(OutFrame {
-                bytes,
+                header: (c.body.len() as u32).to_le_bytes(),
+                body: c.body,
                 queued_at: now,
                 reorder_us: duration_us(reorder),
                 trace: c.trace,
@@ -246,34 +248,29 @@ impl Conn {
     }
 
     /// One vectored flush: every queued frame (up to
-    /// [`MAX_FLUSH_SLICES`] per call) rides a single `writev`-style
+    /// [`MAX_FLUSH_FRAMES`] per call) rides a single `writev`-style
     /// write. Returns without error on `EAGAIN`; the caller arms
     /// `EPOLLOUT` if frames remain. A frame fully handed to the
     /// kernel closes its write-flush stage (and its whole trace).
     fn flush(&mut self, shared: &Shared) -> io::Result<()> {
         while !self.wqueue.is_empty() {
-            let mut slices: Vec<IoSlice<'_>> =
-                Vec::with_capacity(self.wqueue.len().min(MAX_FLUSH_SLICES));
-            let mut frames = self.wqueue.iter();
-            let front = frames.next().expect("non-empty queue");
-            slices.push(IoSlice::new(&front.bytes[self.woff..]));
-            slices.extend(
-                frames
-                    .take(MAX_FLUSH_SLICES - 1)
-                    .map(|f| IoSlice::new(&f.bytes)),
-            );
+            let frames = self.wqueue.len().min(MAX_FLUSH_FRAMES);
+            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(2 * frames);
+            for (i, f) in self.wqueue.iter().take(frames).enumerate() {
+                // `woff` counts into the front frame, header first
+                let sent = if i == 0 { self.woff } else { 0 };
+                if sent < f.header.len() {
+                    slices.push(IoSlice::new(&f.header[sent..]));
+                }
+                slices.push(IoSlice::new(&f.body[sent.saturating_sub(f.header.len())..]));
+            }
             match self.stream.write_vectored(&slices) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(mut n) => {
                     self.last_activity = Instant::now();
                     while n > 0 {
-                        let left = self
-                            .wqueue
-                            .front()
-                            .expect("bytes imply a frame")
-                            .bytes
-                            .len()
-                            - self.woff;
+                        let front = self.wqueue.front().expect("bytes imply a frame");
+                        let left = front.header.len() + front.body.len() - self.woff;
                         if n >= left {
                             let fr = self.wqueue.pop_front().expect("bytes imply a frame");
                             let write_flush = fr.queued_at.elapsed();

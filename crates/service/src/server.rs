@@ -71,6 +71,7 @@ use dpc_interactive::fingerprint;
 use dpc_planar::kuratowski::extract_kuratowski;
 use dpc_planar::lr::{planarity, Planarity};
 use dpc_runtime::{get_uvarint, put_uvarint, NodeCtx, Payload};
+use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -191,9 +192,84 @@ impl ReplyTo {
     }
 }
 
-/// A job: one decoded request plus everything needed to answer it.
+/// What a job asks of the workers.
+pub(crate) enum Work {
+    /// A certify, from a certify frame or a finished chunked upload.
+    Certify(CertifyJob),
+    /// Any other request kind that reaches the queue.
+    Request(Request),
+}
+
+impl From<Request> for Work {
+    fn from(req: Request) -> Work {
+        match req {
+            Request::Certify {
+                graph,
+                bypass_cache,
+                cached_only,
+                summary,
+                scheme,
+            } => Work::Certify(CertifyJob {
+                flags: wire::CertifyFlags {
+                    bypass_cache,
+                    cached_only,
+                    summary,
+                },
+                scheme,
+                graph: CertifyGraph::Decoded(graph),
+            }),
+            other => Work::Request(other),
+        }
+    }
+}
+
+/// One certify, as the worker takes it.
+pub(crate) struct CertifyJob {
+    pub(crate) flags: wire::CertifyFlags,
+    pub(crate) scheme: SchemeId,
+    pub(crate) graph: CertifyGraph,
+}
+
+/// A certify's graph: still the frame's bytes, or already decoded.
+pub(crate) enum CertifyGraph {
+    /// A certify frame, validated by the connection layer but not
+    /// decoded: `uvarint(scheme) ‖ graph bytes ‖ extension block`, one
+    /// copy out of the read buffer. `bytes[..graph.end]` is the raw
+    /// cache key, laid out as [`keyed_bytes`] lays out the canonical
+    /// one. The extension block stays behind the graph so the decode
+    /// on a miss sees the bytes the skim saw, and every guard of the
+    /// graph scan decides the same way.
+    Raw {
+        bytes: Vec<u8>,
+        graph: std::ops::Range<usize>,
+    },
+    /// A chunked upload's reassembled graph.
+    Decoded(Graph),
+}
+
+impl CertifyJob {
+    /// The job for a skimmed certify frame.
+    pub(crate) fn from_frame(frame: &wire::CertifyFrame<'_>) -> CertifyJob {
+        let mut bytes = Vec::with_capacity(3 + frame.graph.len() + frame.extensions.len());
+        put_uvarint(&mut bytes, frame.scheme.0 as u64);
+        let start = bytes.len();
+        bytes.extend_from_slice(frame.graph);
+        let end = bytes.len();
+        bytes.extend_from_slice(frame.extensions);
+        CertifyJob {
+            flags: frame.flags,
+            scheme: frame.scheme,
+            graph: CertifyGraph::Raw {
+                bytes,
+                graph: start..end,
+            },
+        }
+    }
+}
+
+/// A job: one request plus everything needed to answer it.
 pub(crate) struct Job {
-    pub(crate) req: Request,
+    pub(crate) work: Work,
     pub(crate) seq: u64,
     pub(crate) reply: ReplyTo,
     pub(crate) received: Instant,
@@ -274,12 +350,12 @@ impl JobQueue {
         loop {
             if let Some(first) = jobs.pop_front() {
                 let mut batch = vec![first];
-                if let Request::Certify { scheme, .. } = batch[0].req {
+                if let Work::Certify(CertifyJob { scheme, .. }) = batch[0].work {
                     let mut i = 0;
                     while i < jobs.len() && batch.len() < batch_max {
                         if matches!(
-                            jobs[i].req,
-                            Request::Certify { scheme: s, .. } if s == scheme
+                            &jobs[i].work,
+                            Work::Certify(c) if c.scheme == scheme
                         ) {
                             batch.push(jobs.remove(i).expect("index in bounds"));
                         } else {
@@ -793,11 +869,14 @@ fn worker_loop(shared: &Arc<Shared>) {
             job.trace.queue_wait_us = duration_us(waited);
             job.dequeued = now;
         }
-        if matches!(batch[0].req, Request::Certify { .. }) {
+        if matches!(batch[0].work, Work::Certify(_)) {
             process_certify_batch(shared, batch);
         } else {
             for job in batch {
-                let body = process_single(shared, &job.req);
+                let Work::Request(req) = &job.work else {
+                    unreachable!("a certify leads its own batch");
+                };
+                let body = process_single(shared, req);
                 finish(shared, &job, body);
             }
         }
@@ -1046,13 +1125,18 @@ fn entry_body(cached: bool, entry: &CacheEntry, summary: bool) -> Vec<u8> {
     }
 }
 
+/// The certify half of a job; certify batches hold nothing else.
+fn certify_job(job: &Job) -> &CertifyJob {
+    match &job.work {
+        Work::Certify(c) => c,
+        Work::Request(_) => unreachable!("certify batches contain only certify jobs"),
+    }
+}
+
 fn process_certify_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     // batches are homogeneous by construction (pop_batch groups by
     // scheme), so the registry is consulted once per batch
-    let scheme_id = match batch[0].req {
-        Request::Certify { scheme, .. } => scheme,
-        _ => unreachable!("certify batches contain only certify jobs"),
-    };
+    let scheme_id = certify_job(&batch[0]).scheme;
     let per_scheme = shared.scheme_metrics(scheme_id);
     if let Some(m) = per_scheme {
         m.certify.fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -1073,10 +1157,75 @@ fn process_certify_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
             .batched_certifies
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
     }
-    // Phase 1: cache lookups. `to_prove` maps a cache key (plus the
-    // keyed scheme-id + graph bytes, the collision guard) to the jobs
-    // waiting on it, deduplicating identical graphs in the batch;
-    // bypass requests always prove, one prove per request.
+    let mut done: Vec<Option<Vec<u8>>> = (0..batch.len()).map(|_| None).collect();
+    // Phase 0: the raw probe. A certify frame reaches the worker as its
+    // keyed bytes, and a hit on them is answered without building the
+    // graph. The wire graph encoding is canonical up to non-minimal
+    // varints and uvarints are prefix-free, so raw bytes equal to a
+    // cached entry's keyed bytes decode to exactly that entry's graph
+    // and scheme: a raw match is always a correct hit, and an
+    // unusual encoding can only miss. Everything else is decoded here.
+    struct Pending<'a> {
+        graph: Cow<'a, Graph>,
+        /// The raw key and what probing it found, if it was probed.
+        raw: Option<(&'a [u8], Option<Arc<CacheEntry>>)>,
+    }
+    let mut pending: Vec<Option<Pending>> = Vec::with_capacity(batch.len());
+    for (i, job) in batch.iter().enumerate() {
+        let c = certify_job(job);
+        let (bytes, span) = match &c.graph {
+            CertifyGraph::Raw { bytes, graph } => (bytes, graph),
+            CertifyGraph::Decoded(graph) => {
+                pending.push(Some(Pending {
+                    graph: Cow::Borrowed(graph),
+                    raw: None,
+                }));
+                continue;
+            }
+        };
+        let mut raw = None;
+        if !c.flags.bypass_cache {
+            let key = &bytes[..span.end];
+            match shared.cache.lookup(hash_bytes(key), key) {
+                // certified implies connected, so a certified entry
+                // answers a summary certify too; a cached decline may
+                // be a plain certify's "not connected" for a graph a
+                // summary certify proves piecewise, so it waits for
+                // the decode
+                Some(entry)
+                    if !c.flags.summary
+                        || matches!(entry.result, ProveResult::Certified { .. }) =>
+                {
+                    if let Some(m) = per_scheme {
+                        m.hits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    done[i] = Some(entry_body(true, &entry, c.flags.summary));
+                    pending.push(None);
+                    continue;
+                }
+                found => raw = Some((key, found)),
+            }
+        }
+        match wire::decode_graph(&mut &bytes[span.start..]) {
+            Ok(graph) => pending.push(Some(Pending {
+                graph: Cow::Owned(graph),
+                raw,
+            })),
+            Err(e) => {
+                // the connection layer already ran this very scan on
+                // the same bytes, so this is unreachable short of a
+                // bug; answer it as the decode error it would be
+                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                done[i] = Some(Response::Error(e.to_string()).encode());
+                pending.push(None);
+            }
+        }
+    }
+    // Phase 1: cache lookups under the canonical keyed bytes.
+    // `to_prove` maps a cache key (plus the keyed scheme-id + graph
+    // bytes, the collision guard) to the jobs waiting on it,
+    // deduplicating identical graphs in the batch; bypass requests
+    // always prove, one prove per request.
     struct Miss<'a> {
         graph: &'a Graph,
         key: Option<(dpc_graph::canon::GraphHash, Vec<u8>)>,
@@ -1089,25 +1238,21 @@ fn process_certify_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     // (a plain certify would cache `Declined: not connected` under
     // the very same key, and a composite result must never shadow it)
     let mut composites: Vec<(usize, &Graph, bool)> = Vec::new();
-    let mut done: Vec<Option<Vec<u8>>> = (0..batch.len()).map(|_| None).collect();
-    let mut summaries: Vec<bool> = Vec::with_capacity(batch.len());
-    for (i, job) in batch.iter().enumerate() {
-        let Request::Certify {
-            graph,
+    for (i, (job, p)) in batch.iter().zip(&pending).enumerate() {
+        let Some(Pending { graph, raw }) = p else {
+            continue;
+        };
+        let graph: &Graph = graph;
+        let wire::CertifyFlags {
             bypass_cache,
             cached_only,
             summary,
-            ..
-        } = &job.req
-        else {
-            unreachable!("certify batches contain only certify jobs");
-        };
-        summaries.push(*summary);
-        if *summary && !graph.is_connected() {
-            composites.push((i, graph, *bypass_cache));
+        } = certify_job(job).flags;
+        if summary && !graph.is_connected() {
+            composites.push((i, graph, bypass_cache));
             continue;
         }
-        if *bypass_cache {
+        if bypass_cache {
             to_prove.push(Miss {
                 graph,
                 key: None,
@@ -1116,21 +1261,27 @@ fn process_certify_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
             continue;
         }
         // one canonical pass: the wire encoding sorts the edge list,
-        // and the cache key is the hash of the scheme-qualified bytes
+        // and the cache key is the hash of the scheme-qualified bytes;
+        // entries are only ever stored under these bytes, and raw bytes
+        // equal to them were already probed
         let bytes = keyed_bytes(scheme_id, graph);
         let key = hash_bytes(&bytes);
-        match shared.cache.lookup(key, &bytes) {
+        let found = match raw {
+            Some((raw, found)) if *raw == bytes.as_slice() => found.clone(),
+            _ => shared.cache.lookup(key, &bytes),
+        };
+        match found {
             Some(entry) => {
                 if let Some(m) = per_scheme {
                     m.hits.fetch_add(1, Ordering::Relaxed);
                 }
-                done[i] = Some(entry_body(true, &entry, *summary));
+                done[i] = Some(entry_body(true, &entry, summary));
             }
             None => {
                 if let Some(m) = per_scheme {
                     m.misses.fetch_add(1, Ordering::Relaxed);
                 }
-                if *cached_only {
+                if cached_only {
                     // replica probe: the caller only wants to know
                     // whether this node already holds the answer —
                     // a miss must never trigger a prove, so it gets
@@ -1173,7 +1324,8 @@ fn process_certify_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
                         None => Arc::new(CacheEntry::new(result, Vec::new())),
                     };
                     for i in miss.waiters {
-                        done[i] = Some(entry_body(false, &entry, summaries[i]));
+                        let summary = certify_job(&batch[i]).flags.summary;
+                        done[i] = Some(entry_body(false, &entry, summary));
                     }
                 }
                 Err(msg) => {

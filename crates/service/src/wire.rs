@@ -11,7 +11,11 @@
 //! with gap-encoded coordinates. Sortedness is enforced *by
 //! construction* on decode (coordinates are reconstructed from
 //! non-negative gaps), so malformed input can produce `Protocol`
-//! errors but never duplicate edges, self-loops, or panics.
+//! errors but never duplicate edges, self-loops, or panics. One scan
+//! does all of it: [`decode_graph`] builds the graph as it goes, and
+//! the server's read path, [`skim_request`], runs the same scan
+//! without building anything, so a certify's cache probe can use the
+//! graph's bytes as sent.
 //!
 //! Request kinds: Certify, Check, Gen, SoundnessProbe, Stats,
 //! SlowLog, StoreList, StorePush, GraphChunkBegin, GraphChunk,
@@ -174,6 +178,26 @@ pub fn encode_graph(out: &mut Vec<u8>, g: &Graph) {
 /// even looks at it. Only pathological near-edgeless graphs beyond a
 /// few hundred nodes are rejected by this bound.
 pub fn decode_graph(buf: &mut &[u8]) -> Result<Graph, WireError> {
+    Ok(scan_graph(buf, true)?.expect("a building scan returns its graph"))
+}
+
+/// Validates a wire graph at the front of `buf` without building it,
+/// advancing `buf`, and returns the graph's bytes. It is the same scan
+/// as [`decode_graph`]: it accepts exactly the same input, fails with
+/// the same error, and the span it returns is exactly the bytes
+/// `decode_graph` consumes.
+fn skim_graph<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
+    let start = *buf;
+    scan_graph(buf, false)?;
+    Ok(&start[..start.len() - buf.len()])
+}
+
+/// The one wire-graph scanner behind [`decode_graph`] and
+/// [`skim_graph`]: every check of the graph grammar, in order, and the
+/// graph itself when `build` is set. The guards measure what is left
+/// of `buf`, so a caller that re-scans a span must leave the bytes that
+/// followed it in the frame behind it.
+fn scan_graph(buf: &mut &[u8], build: bool) -> Result<Option<Graph>, WireError> {
     let n = get_uvarint(buf)?;
     if n > MAX_WIRE_NODES {
         return Err(protocol(format!("graph with {n} nodes exceeds the limit")));
@@ -216,10 +240,13 @@ pub fn decode_graph(buf: &mut &[u8]) -> Result<Graph, WireError> {
         // each edge is two varints, at least two bytes
         return Err(protocol("edge list longer than the frame"));
     }
-    let mut b = GraphBuilder::new(n);
-    if let Some(ids) = ids {
-        b.with_ids(ids);
-    }
+    let mut builder = build.then(|| {
+        let mut b = GraphBuilder::new(n);
+        if let Some(ids) = ids {
+            b.with_ids(ids);
+        }
+        b
+    });
     let (mut prev_u, mut prev_v) = (0u32, 0u32);
     for i in 0..m {
         let du = get_uvarint(buf)?;
@@ -238,12 +265,17 @@ pub fn decode_graph(buf: &mut &[u8]) -> Result<Graph, WireError> {
             .and_then(|x| x.checked_add(1))
             .filter(|&v| v < n as u64)
             .ok_or_else(|| protocol("edge endpoint out of range"))? as u32;
-        b.add_edge(u, v)
-            .map_err(|e| protocol(format!("bad edge list: {e}")))?;
+        // the delta coding already makes every edge in range, loop-free
+        // and strictly after the previous one, so the builder never
+        // refuses an edge the skim let through
+        if let Some(b) = builder.as_mut() {
+            b.add_edge(u, v)
+                .map_err(|e| protocol(format!("bad edge list: {e}")))?;
+        }
         prev_u = u;
         prev_v = v;
     }
-    Ok(b.build())
+    Ok(builder.map(GraphBuilder::build))
 }
 
 /// Reads one uvarint if its terminating byte is present, advancing
@@ -771,7 +803,7 @@ impl Request {
     }
 }
 
-const REQ_CERTIFY: u64 = 1;
+pub(crate) const REQ_CERTIFY: u64 = 1;
 const REQ_CHECK: u64 = 2;
 const REQ_GEN: u64 = 3;
 const REQ_SOUNDNESS: u64 = 4;
@@ -1061,23 +1093,15 @@ impl Request {
         let mut buf = body;
         let req = match get_uvarint(&mut buf)? {
             REQ_CERTIFY => {
-                let flags = get_uvarint(&mut buf)?;
-                let known =
-                    CERTIFY_FLAG_BYPASS_CACHE | CERTIFY_FLAG_CACHED_ONLY | CERTIFY_FLAG_SUMMARY;
-                if flags & !known != 0 {
-                    return Err(protocol(format!("unknown certify flags {flags:#x}")));
-                }
-                if flags & CERTIFY_FLAG_CACHED_ONLY != 0
-                    && flags & (CERTIFY_FLAG_BYPASS_CACHE | CERTIFY_FLAG_SUMMARY) != 0
-                {
-                    // "only the cache" contradicts both "skip the
-                    // cache" and the prove-components summary mode
-                    return Err(protocol("contradictory certify flags"));
-                }
+                let CertifyFlags {
+                    bypass_cache,
+                    cached_only,
+                    summary,
+                } = CertifyFlags::decode(&mut buf)?;
                 Request::Certify {
-                    bypass_cache: flags & CERTIFY_FLAG_BYPASS_CACHE != 0,
-                    cached_only: flags & CERTIFY_FLAG_CACHED_ONLY != 0,
-                    summary: flags & CERTIFY_FLAG_SUMMARY != 0,
+                    bypass_cache,
+                    cached_only,
+                    summary,
                     graph: decode_graph(&mut buf)?,
                     scheme: decode_extensions(&mut buf)?,
                 }
@@ -1220,6 +1244,87 @@ impl Request {
         }
         Ok(req)
     }
+}
+
+/// The flags of a certify request, validated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CertifyFlags {
+    /// [`CERTIFY_FLAG_BYPASS_CACHE`].
+    pub bypass_cache: bool,
+    /// [`CERTIFY_FLAG_CACHED_ONLY`].
+    pub cached_only: bool,
+    /// [`CERTIFY_FLAG_SUMMARY`].
+    pub summary: bool,
+}
+
+impl CertifyFlags {
+    fn decode(buf: &mut &[u8]) -> Result<CertifyFlags, WireError> {
+        let flags = get_uvarint(buf)?;
+        let known = CERTIFY_FLAG_BYPASS_CACHE | CERTIFY_FLAG_CACHED_ONLY | CERTIFY_FLAG_SUMMARY;
+        if flags & !known != 0 {
+            return Err(protocol(format!("unknown certify flags {flags:#x}")));
+        }
+        if flags & CERTIFY_FLAG_CACHED_ONLY != 0
+            && flags & (CERTIFY_FLAG_BYPASS_CACHE | CERTIFY_FLAG_SUMMARY) != 0
+        {
+            // "only the cache" contradicts both "skip the
+            // cache" and the prove-components summary mode
+            return Err(protocol("contradictory certify flags"));
+        }
+        Ok(CertifyFlags {
+            bypass_cache: flags & CERTIFY_FLAG_BYPASS_CACHE != 0,
+            cached_only: flags & CERTIFY_FLAG_CACHED_ONLY != 0,
+            summary: flags & CERTIFY_FLAG_SUMMARY != 0,
+        })
+    }
+}
+
+/// A certify request body, validated but not decoded: the graph stays
+/// as its wire bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct CertifyFrame<'a> {
+    /// The request's flags.
+    pub flags: CertifyFlags,
+    /// The scheme the request addresses.
+    pub scheme: SchemeId,
+    /// The graph's wire bytes: exactly what [`decode_graph`] consumes.
+    pub graph: &'a [u8],
+    /// The body after the graph (the extension block).
+    pub extensions: &'a [u8],
+}
+
+/// A request body as [`skim_request`] leaves it.
+#[derive(Debug)]
+pub enum Skimmed<'a> {
+    /// A certify, validated only.
+    Certify(CertifyFrame<'a>),
+    /// Any other kind, decoded.
+    Request(Request),
+}
+
+/// Reads a request body without building a certify's graph: a certify
+/// body is validated by the same scan [`decode_graph`] runs, every
+/// other kind is decoded by [`Request::decode`]. It accepts exactly
+/// the bodies `Request::decode` accepts, with the same error text.
+/// This is the server's read path — a cache hit is probed on
+/// [`CertifyFrame::graph`] and never decodes the graph.
+pub fn skim_request(body: &[u8]) -> Result<Skimmed<'_>, WireError> {
+    let mut buf = body;
+    if get_uvarint(&mut buf)? != REQ_CERTIFY {
+        return Request::decode(body).map(Skimmed::Request);
+    }
+    let flags = CertifyFlags::decode(&mut buf)?;
+    let graph = skim_graph(&mut buf)?;
+    let extensions = buf;
+    // the extension block runs to the end of the body, so there is no
+    // trailing-bytes case left to check
+    let scheme = decode_extensions(&mut buf)?;
+    Ok(Skimmed::Certify(CertifyFrame {
+        flags,
+        scheme,
+        graph,
+        extensions,
+    }))
 }
 
 // ---------------------------------------------------------------------------

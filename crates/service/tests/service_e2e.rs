@@ -662,3 +662,100 @@ fn malformed_chunk_streams_abort_cleanly_and_the_connection_survives() {
     assert!(stats.chunk_aborts >= 2, "aborts: {}", stats.chunk_aborts);
     handle.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// The hit path probes the cache on the frame's raw graph bytes.
+
+/// One frame body out over a raw socket, the raw response body back.
+fn raw_roundtrip(stream: &mut std::net::TcpStream, body: &[u8]) -> Vec<u8> {
+    use dpc_service::wire;
+    wire::write_frame(stream, body).unwrap();
+    wire::read_frame(stream).unwrap().expect("a response frame")
+}
+
+#[test]
+fn a_non_minimal_varint_frame_is_a_hit_on_the_canonical_entry() {
+    use dpc_service::registry::SchemeId;
+    use dpc_service::{wire, SegmentConfig};
+
+    let dir = scratch_dir("raw-key");
+    let cfg = ServeConfig {
+        store: Some(SegmentConfig::new(&dir)),
+        ..ServeConfig::default()
+    };
+    let handle = serve("127.0.0.1:0", cfg).unwrap();
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let g = generators::stacked_triangulation(300, 5);
+    let canonical = wire::encode_certify_request(&g, false, SchemeId::PLANARITY);
+    let miss = raw_roundtrip(&mut stream, &canonical);
+    assert!(matches!(
+        Response::decode(&miss).unwrap(),
+        Response::Certified { cached: false, .. }
+    ));
+    let hit = raw_roundtrip(&mut stream, &canonical);
+    // the node count (after the kind and flags bytes) padded with one
+    // more zero group: the same value, one byte longer
+    let end = 2 + canonical[2..].iter().position(|b| b & 0x80 == 0).unwrap();
+    let mut padded = canonical[..end].to_vec();
+    padded.extend([canonical[end] | 0x80, 0]);
+    padded.extend_from_slice(&canonical[end + 1..]);
+    assert_ne!(padded, canonical);
+
+    let before = handle.stats();
+    let answer = raw_roundtrip(&mut stream, &padded);
+    let after = handle.stats();
+    assert_eq!(answer, hit, "byte-identical to a canonical hit");
+    assert!(matches!(
+        Response::decode(&answer).unwrap(),
+        Response::Certified { cached: true, .. }
+    ));
+    assert_eq!(after.proves, before.proves, "no prove");
+    assert_eq!(
+        after.cache_entries, before.cache_entries,
+        "no new hot entry"
+    );
+    assert_eq!(after.store_records, before.store_records, "no new record");
+    assert_eq!(after.store_records, 1);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_cached_decline_never_answers_a_summary_certify_of_a_disconnected_graph() {
+    use dpc_service::registry::SchemeId;
+    use dpc_service::wire;
+
+    let handle = test_server();
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let g = two_components(30, 40, 11);
+    assert!(!g.is_connected());
+    // the plain certify declines and caches the decline under the
+    // graph's key, and the summary frame carries the same graph bytes
+    let plain = wire::encode_certify_request(&g, false, SchemeId::PLANARITY);
+    match Response::decode(&raw_roundtrip(&mut stream, &plain)).unwrap() {
+        Response::Declined { reason, .. } => assert!(reason.contains("connected"), "{reason}"),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(handle.stats().cache_entries, 1);
+    let summary = wire::encode_certify_summary_request(&g, false, SchemeId::PLANARITY);
+    let outcome = match Response::decode(&raw_roundtrip(&mut stream, &summary)).unwrap() {
+        Response::CertifiedSummary {
+            cached: false,
+            outcome,
+        } => outcome,
+        other => panic!("the summary certify was answered from the decline: {other:?}"),
+    };
+    let parts: Vec<_> = g
+        .components()
+        .into_iter()
+        .map(|nodes| {
+            let sub = g.induced_subgraph(&nodes);
+            let part = certify_pls(&PlanarityScheme::new(), &sub).unwrap().outcome;
+            (nodes, part)
+        })
+        .collect();
+    let reference = dpc_core::harness::Outcome::merge_components(g.node_count(), &parts);
+    assert_eq!(outcome, reference, "merged summary diverged");
+    assert!(handle.stats().outcome_merges >= 1);
+    handle.shutdown();
+}

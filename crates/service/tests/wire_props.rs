@@ -1,11 +1,13 @@
 //! Property tests for the wire codec: `decode(encode(x)) == x` across
-//! every generator family, including shuffled-identifier variants.
+//! every generator family, including shuffled-identifier variants, and
+//! the server's certify skim against the full decode.
 
 use dpc_core::harness::certify_pls;
 use dpc_core::schemes::planarity::PlanarityScheme;
 use dpc_graph::{generators, Graph};
+use dpc_runtime::{get_uvarint, put_uvarint};
 use dpc_service::registry::{SchemeId, SchemeRegistry};
-use dpc_service::wire::{self, Request, Response};
+use dpc_service::wire::{self, CertifyFlags, Request, Response, Skimmed};
 use proptest::prelude::*;
 
 /// One representative of every generator family (the shared
@@ -223,6 +225,71 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The server's read path skims a certify instead of decoding it,
+    /// so the skim must agree with the decode on every body — valid
+    /// certifies under each flag and scheme shape, default and custom
+    /// identifiers, and every mutation below (see [`skim_parity`]).
+    #[test]
+    fn skim_and_decode_agree_on_mutated_certify_bodies(
+        which in 0u32..generators::SAMPLE_FAMILY_COUNT,
+        n in 4u32..24,
+        seed in 0u64..500,
+    ) {
+        let g = family_graph(which, n, seed);
+        let ids = (0..g.node_count() as u64).map(|i| 1000 + 7 * i).collect();
+        let custom = g.with_ids(ids);
+        let bodies = [
+            wire::encode_certify_request(&g, false, SchemeId::PLANARITY),
+            wire::encode_certify_request(&custom, true, SchemeId::MOD_COUNTER),
+            wire::encode_certify_summary_request(&custom, false, SchemeId::PLANARITY),
+            wire::encode_certify_probe_request(&g, SchemeId(4321)),
+        ];
+        for body in &bodies {
+            skim_parity(body);
+            for cut in 0..body.len() {
+                skim_parity(&body[..cut]);
+            }
+            for (at, bit) in (0..body.len()).flat_map(|at| (0..8).map(move |bit| (at, bit))) {
+                let mut flipped = body.clone();
+                flipped[at] ^= 1 << bit;
+                skim_parity(&flipped);
+            }
+            // a non-minimal varint: pad each varint with one more
+            // continuation group of zero bits (the same value); padding
+            // the node count always leaves a valid, non-canonical body
+            for end in (0..body.len()).filter(|&at| body[at] & 0x80 == 0) {
+                let mut padded = body[..end].to_vec();
+                padded.extend([body[end] | 0x80, 0]);
+                padded.extend_from_slice(&body[end + 1..]);
+                skim_parity(&padded);
+                if end == 2 {
+                    prop_assert!(matches!(wire::skim_request(&padded), Ok(Skimmed::Certify(_))));
+                }
+            }
+            if let Some(dup) = duplicate_first_id(body) {
+                let err = Request::decode(&dup).unwrap_err().to_string();
+                prop_assert!(err.contains("duplicate network identifiers"), "{}", err);
+                skim_parity(&dup);
+            }
+            for flags in (0..16).chain([1 << 7, 1 << 20, u64::MAX]) {
+                let mut reflagged = vec![body[0]];
+                put_uvarint(&mut reflagged, flags);
+                reflagged.extend_from_slice(&body[2..]);
+                skim_parity(&reflagged);
+            }
+            let tails: [&[u8]; 6] = [&[0], &[7, 0], &[1, 1, 9], &[1], &[0xff], &[5, 2, 1]];
+            for tail in tails {
+                let mut longer = body.clone();
+                longer.extend_from_slice(tail);
+                skim_parity(&longer);
+            }
+        }
+    }
+}
+
 #[test]
 fn all_other_response_kinds_roundtrip() {
     use dpc_service::wire::{CheckVerdict, SoundnessLine};
@@ -254,4 +321,80 @@ fn all_other_response_kinds_roundtrip() {
         let back = Response::decode(&resp.encode()).unwrap();
         assert_eq!(format!("{resp:?}"), format!("{back:?}"));
     }
+}
+
+/// `wire::skim_request` against `Request::decode` on one body: the
+/// same verdict and the same error text; on an accepted certify, the
+/// same flags, scheme and graph, a graph span of exactly the bytes
+/// `decode_graph` consumes after the kind and flags, and the rest of
+/// the body as the extension block.
+fn skim_parity(body: &[u8]) {
+    match (wire::skim_request(body), Request::decode(body)) {
+        (Err(skim), Err(decode)) => {
+            assert_eq!(
+                skim.to_string(),
+                decode.to_string(),
+                "error text on {body:?}"
+            )
+        }
+        (Ok(Skimmed::Request(skim)), Ok(decode)) => {
+            assert!(!matches!(decode, Request::Certify { .. }), "{body:?}");
+            assert_eq!(skim.kind_tag(), decode.kind_tag(), "{body:?}");
+        }
+        (
+            Ok(Skimmed::Certify(frame)),
+            Ok(Request::Certify {
+                graph,
+                bypass_cache,
+                cached_only,
+                summary,
+                scheme,
+            }),
+        ) => {
+            let flags = CertifyFlags {
+                bypass_cache,
+                cached_only,
+                summary,
+            };
+            assert_eq!(frame.flags, flags, "{body:?}");
+            assert_eq!(frame.scheme, scheme, "{body:?}");
+            let mut head = body;
+            get_uvarint(&mut head).unwrap();
+            get_uvarint(&mut head).unwrap();
+            let start = body.len() - head.len();
+            let decoded = wire::decode_graph(&mut head).unwrap();
+            assert_eq!(
+                frame.graph,
+                &body[start..body.len() - head.len()],
+                "{body:?}"
+            );
+            assert_eq!(frame.extensions, head, "{body:?}");
+            assert!(wire::graphs_equal(&decoded, &graph));
+        }
+        (skim, decode) => panic!(
+            "skim {:?} but decode {:?} on {body:?}",
+            skim.map(|_| "accepted"),
+            decode.map(|r| r.kind_tag())
+        ),
+    }
+}
+
+/// The certify body with its second custom identifier set to the
+/// first (`None` for a body with default identifiers).
+fn duplicate_first_id(body: &[u8]) -> Option<Vec<u8>> {
+    let mut buf = body;
+    for _ in 0..3 {
+        get_uvarint(&mut buf).ok()?; // kind, flags, node count
+    }
+    if get_uvarint(&mut buf).ok()? != 1 {
+        return None;
+    }
+    let first = get_uvarint(&mut buf).ok()?;
+    let second_at = body.len() - buf.len();
+    get_uvarint(&mut buf).ok()?;
+    let rest_at = body.len() - buf.len();
+    let mut out = body[..second_at].to_vec();
+    put_uvarint(&mut out, first);
+    out.extend_from_slice(&body[rest_at..]);
+    Some(out)
 }
