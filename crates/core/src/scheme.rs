@@ -3,6 +3,7 @@
 use dpc_graph::Graph;
 use dpc_runtime::{get_bytes, get_uvarint, put_uvarint, DecodeError, NodeCtx, Payload};
 use std::fmt;
+use std::sync::Arc;
 
 /// A certificate assignment: one payload per node.
 #[derive(Debug, Clone, Default)]
@@ -65,25 +66,60 @@ impl Assignment {
         }
     }
 
+    /// Certificates sharing one buffer: `certs` yields each one's
+    /// `(first byte, bit length)` in `bytes`, and the certificate is the
+    /// view of the `ceil(bit_len / 8)` bytes from there. The wire
+    /// decoder and the planarity prover build through here, so an
+    /// assignment costs one buffer rather than one per node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a certificate's bytes run past the end of `bytes`.
+    pub(crate) fn packed(
+        bytes: &Arc<[u8]>,
+        certs: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Self {
+        let view = |(start, bit_len): (usize, usize)| {
+            Payload::view(bytes, start..start + bit_len.div_ceil(8), bit_len)
+        };
+        Assignment {
+            certs: certs.into_iter().map(view).collect(),
+        }
+    }
+
     /// Decodes an assignment from the front of `buf`, advancing it.
     /// Inverse of [`Assignment::encode_into`].
     ///
     /// The certificate count is validated against the remaining buffer
     /// (each certificate costs at least one byte on the wire) and a
     /// fixed per-node ceiling, so a hostile header cannot amplify a
-    /// small frame into gigabytes of `Payload` allocations.
+    /// small frame into gigabytes of `Payload` allocations. Every
+    /// length is checked before a byte is copied; then the certificates'
+    /// wire span is copied once, and each certificate is a view of it.
     pub fn decode_from(buf: &mut &[u8]) -> Result<Assignment, DecodeError> {
         let count = get_uvarint(buf)? as usize;
         if count > buf.len() || count > MAX_WIRE_CERTS {
             return Err(DecodeError::OutOfBits);
         }
-        let mut certs = Vec::with_capacity(count);
+        let wire = *buf;
         for _ in 0..count {
             let bit_len = get_uvarint(buf)? as usize;
-            let bytes = get_bytes(buf, bit_len.div_ceil(8))?;
-            certs.push(Payload::from_bytes(bytes.to_vec(), bit_len));
+            get_bytes(buf, bit_len.div_ceil(8))?;
         }
-        Ok(Assignment { certs })
+        let span = &wire[..wire.len() - buf.len()];
+        if u32::try_from(span.len()).is_err() {
+            // a payload addresses its bytes with 32-bit offsets
+            return Err(DecodeError::OutOfBits);
+        }
+        let span: Arc<[u8]> = span.into();
+        let mut rest = &span[..];
+        let certs = (0..count).map(|_| {
+            let bit_len = get_uvarint(&mut rest).expect("checked above") as usize;
+            let start = span.len() - rest.len();
+            rest = &rest[bit_len.div_ceil(8)..];
+            (start, bit_len)
+        });
+        Ok(Assignment::packed(&span, certs))
     }
 }
 

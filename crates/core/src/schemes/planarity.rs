@@ -271,27 +271,28 @@ impl ProofLabelingScheme for PlanarityScheme {
             by_owner[next[o as usize] as usize] = eid as u32;
             next[o as usize] += 1;
         }
-        // one writer and one edge list reused for every certificate
+        // one writer and one edge list reused for every certificate, and
+        // one buffer holding them all
         let mut w = BitWriter::new();
         let mut edges = Vec::new();
-        let certs = g
-            .nodes()
-            .map(|v| {
-                let (lo, hi) = (start[v as usize] as usize, start[v as usize + 1] as usize);
-                edges.clear();
-                edges.extend(by_owner[lo..hi].iter().map(|&eid| edge_cert(eid as usize)));
-                w.clear();
-                write_cert(
-                    &mut w,
-                    &tree_certs[v as usize],
-                    te.fmin(v) as u64,
-                    te.fmax(v) as u64,
-                    &edges,
-                );
-                Payload::from_bytes(w.as_bytes(), w.bit_len())
-            })
-            .collect();
-        Ok(Assignment { certs })
+        let mut packed = Vec::new();
+        let mut spans = Vec::with_capacity(n);
+        for v in g.nodes() {
+            let (lo, hi) = (start[v as usize] as usize, start[v as usize + 1] as usize);
+            edges.clear();
+            edges.extend(by_owner[lo..hi].iter().map(|&eid| edge_cert(eid as usize)));
+            w.clear();
+            write_cert(
+                &mut w,
+                &tree_certs[v as usize],
+                te.fmin(v) as u64,
+                te.fmax(v) as u64,
+                &edges,
+            );
+            spans.push((packed.len(), w.bit_len()));
+            packed.extend_from_slice(w.as_bytes());
+        }
+        Ok(Assignment::packed(&packed.into(), spans))
     }
 
     fn verify(&self, ctx: &NodeCtx, own: &Payload, neighbors: &[Payload]) -> bool {

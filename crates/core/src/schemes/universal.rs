@@ -110,7 +110,7 @@ impl ProofLabelingScheme for UniversalScheme {
     fn verify(&self, ctx: &NodeCtx, own: &Payload, neighbors: &[Payload]) -> bool {
         // (a) all neighbors carry the identical certificate
         for nb in neighbors {
-            if nb.bit_len != own.bit_len || nb.bytes != own.bytes {
+            if nb != own {
                 return false;
             }
         }

@@ -70,11 +70,25 @@ impl Fnv128 {
     }
 }
 
-/// The canonical edge list: smaller endpoint first, sorted
+/// The edges in canonical order: smaller endpoint first, sorted
 /// lexicographically. Independent of insertion order.
+///
+/// This is the one definition of the order. It walks each node `u`'s
+/// sorted adjacency and keeps the neighbours `v > u`, so no edge list
+/// is collected or sorted.
+pub fn canonical_edge_iter(g: &Graph) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    g.nodes().flat_map(move |u| {
+        g.adjacency(u)
+            .iter()
+            .skip_while(move |&&(v, _)| v < u)
+            .map(move |&(v, _)| (u, v))
+    })
+}
+
+/// The canonical edge list (see [`canonical_edge_iter`]).
 pub fn canonical_edges(g: &Graph) -> Vec<(NodeId, NodeId)> {
-    let mut edges: Vec<(NodeId, NodeId)> = g.edges().iter().map(|e| e.canonical()).collect();
-    edges.sort_unstable();
+    let mut edges = Vec::with_capacity(g.edge_count());
+    edges.extend(canonical_edge_iter(g));
     edges
 }
 
@@ -112,7 +126,7 @@ pub fn graph_hash(g: &Graph) -> GraphHash {
 fn feed_structure(h: &mut Fnv128, g: &Graph) {
     h.write_u64(g.node_count() as u64);
     h.write_u64(g.edge_count() as u64);
-    for (u, v) in canonical_edges(g) {
+    for (u, v) in canonical_edge_iter(g) {
         h.write_u64(u as u64);
         h.write_u64(v as u64);
     }

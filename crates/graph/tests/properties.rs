@@ -1,7 +1,38 @@
 //! Property-based tests for the graph substrate.
 
-use dpc_graph::{degeneracy, generators, graph6, minors, traversal};
+use dpc_graph::canon::{self, graph_hash, structural_hash};
+use dpc_graph::{degeneracy, generators, graph6, minors, traversal, Graph, NodeId};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+/// The canonical edge order by its definition: every edge smaller
+/// endpoint first, the list sorted.
+fn sorted_edges(g: &Graph) -> Vec<(NodeId, NodeId)> {
+    let mut edges: Vec<(NodeId, NodeId)> = g.edges().iter().map(|e| e.canonical()).collect();
+    edges.sort_unstable();
+    edges
+}
+
+/// The hashes are cache keys shared by clients, servers and stores on
+/// disk: pinned values, so a change to the canonical order shows.
+#[test]
+fn canonical_hashes_are_pinned() {
+    let tri = generators::shuffle_ids(&generators::stacked_triangulation(200, 7), 3);
+    let grid = generators::grid(10, 10);
+    let hex = |h: canon::GraphHash| h.to_string();
+    assert_eq!(hex(graph_hash(&tri)), "01fde172594f8801b78030d69da611c6");
+    assert_eq!(
+        hex(structural_hash(&tri)),
+        "4e08dd032f6a4820039d061cd62f56d6"
+    );
+    assert_eq!(hex(graph_hash(&grid)), "fbea8844c0ffae1e862f0bcd9aad2112");
+    assert_eq!(
+        hex(structural_hash(&grid)),
+        "93a21bf51798a186d65342b0187f7bcd"
+    );
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -52,6 +83,35 @@ proptest! {
                 "structure survives the trip"
             );
         }
+    }
+
+    /// The canonical order read off the sorted adjacency lists equals
+    /// the collect-and-sort oracle, whatever the edge insertion order,
+    /// the endpoint order within an edge and the identifiers; and the
+    /// hashes do not see the insertion order.
+    #[test]
+    fn canonical_order_matches_the_sorting_oracle(
+        which in 0u32..generators::SAMPLE_FAMILY_COUNT,
+        n in 4u32..60,
+        seed in 0u64..1000,
+    ) {
+        let g = generators::sample_family(which, n, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut list: Vec<(NodeId, NodeId)> = g
+            .edges()
+            .iter()
+            .map(|e| if rng.gen_bool(0.5) { (e.u, e.v) } else { (e.v, e.u) })
+            .collect();
+        list.shuffle(&mut rng);
+        let shuffled = Graph::from_edges(g.node_count() as u32, &list).with_ids(g.ids().to_vec());
+        let relabelled = generators::shuffle_ids(&shuffled, seed);
+        for h in [&g, &shuffled, &relabelled] {
+            let oracle = sorted_edges(h);
+            prop_assert_eq!(canon::canonical_edge_iter(h).collect::<Vec<_>>(), oracle.clone(), "family {}", which);
+            prop_assert_eq!(canon::canonical_edges(h), oracle, "family {}", which);
+        }
+        prop_assert_eq!(graph_hash(&shuffled), graph_hash(&g));
+        prop_assert_eq!(structural_hash(&relabelled), structural_hash(&g));
     }
 
     /// BFS tree distances are ≤ DFS tree distances, both span, subtree

@@ -9,20 +9,27 @@
 
 use crate::bits::{BitReader, BitWriter};
 use dpc_graph::{Graph, NodeId};
+use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// A broadcast payload: shared raw bytes plus the exact length in bits.
+/// A broadcast payload: a view of shared raw bytes plus the exact
+/// length in bits.
 ///
 /// The byte buffer is reference-counted, so cloning a payload — the
 /// operation the simulator performs once per incident edge per round —
-/// is O(1) and never copies certificate bytes. Payloads are immutable
+/// is O(1) and never copies certificate bytes. A payload sees only its
+/// byte range of the buffer, so the certificates of one assignment can
+/// share a single buffer ([`Payload::view`]). Payloads are immutable
 /// after construction; to derive a modified payload (e.g. for an
 /// adversarial bit flip), copy the bytes out with [`Payload::to_vec`]
 /// and rebuild with [`Payload::from_bytes`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct Payload {
-    /// Shared backing bytes (last byte may be partial).
-    pub bytes: Arc<[u8]>,
+    /// Shared backing bytes; the payload's own are `start..end`.
+    bytes: Arc<[u8]>,
+    start: u32,
+    end: u32,
     /// Exact number of meaningful bits.
     pub bit_len: usize,
 }
@@ -36,10 +43,7 @@ impl Payload {
     /// Payload from a finished [`BitWriter`].
     pub fn from_writer(w: BitWriter) -> Self {
         let (bytes, bit_len) = w.into_parts();
-        Payload {
-            bytes: bytes.into(),
-            bit_len,
-        }
+        Payload::from_bytes(bytes, bit_len)
     }
 
     /// Payload from raw bytes and an exact bit length.
@@ -49,23 +53,63 @@ impl Payload {
     /// Panics if `bytes` is too short to hold `bit_len` bits.
     pub fn from_bytes(bytes: impl Into<Arc<[u8]>>, bit_len: usize) -> Self {
         let bytes = bytes.into();
-        assert!(bytes.len() * 8 >= bit_len, "bit_len exceeds the buffer");
-        Payload { bytes, bit_len }
+        let len = bytes.len();
+        Payload::view(&bytes, 0..len, bit_len)
     }
 
-    /// The backing bytes as a plain slice.
+    /// Payload over `range` of a shared buffer: the `bit_len` bits at
+    /// the front of those bytes. No byte is copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is not inside `bytes` or does not fit in 32
+    /// bits, or is too short to hold `bit_len` bits.
+    pub fn view(bytes: &Arc<[u8]>, range: Range<usize>, bit_len: usize) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= bytes.len(),
+            "range outside the buffer"
+        );
+        assert!(range.len() * 8 >= bit_len, "bit_len exceeds the buffer");
+        let offset = |i: usize| u32::try_from(i).expect("payload range exceeds 32 bits");
+        Payload {
+            bytes: Arc::clone(bytes),
+            start: offset(range.start),
+            end: offset(range.end),
+            bit_len,
+        }
+    }
+
+    /// The payload's bytes as a plain slice.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+        &self.bytes[self.start as usize..self.end as usize]
     }
 
-    /// Owned copy of the backing bytes (for mutation-and-rebuild).
+    /// Owned copy of the payload's bytes (for mutation-and-rebuild).
     pub fn to_vec(&self) -> Vec<u8> {
-        self.bytes.to_vec()
+        self.as_bytes().to_vec()
     }
 
     /// A bit reader over the payload's exact bit range.
     pub fn reader(&self) -> BitReader<'_> {
-        BitReader::new(&self.bytes, self.bit_len)
+        BitReader::new(self.as_bytes(), self.bit_len)
+    }
+}
+
+/// Equal bit lengths and equal bytes, wherever the bytes live.
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        self.bit_len == other.bit_len && self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Payload {}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Payload")
+            .field("bytes", &self.as_bytes())
+            .field("bit_len", &self.bit_len)
+            .finish()
     }
 }
 
@@ -271,6 +315,74 @@ mod tests {
             }
             Step::Output(best)
         }
+    }
+
+    /// A view of `bytes` placed between foreign bytes in one buffer.
+    fn embedded(bytes: &[u8], bit_len: usize) -> Payload {
+        let mut buf = vec![0xff; 3];
+        buf.extend_from_slice(bytes);
+        buf.extend_from_slice(&[0xee; 4]);
+        Payload::view(&buf.into(), 3..3 + bytes.len(), bit_len)
+    }
+
+    #[test]
+    fn a_view_agrees_with_an_owned_payload() {
+        let mut w = BitWriter::new();
+        w.write_varint(300);
+        w.write_bits(0b101, 3);
+        let owned = Payload::from_writer(w);
+        let view = embedded(owned.as_bytes(), owned.bit_len);
+        assert_eq!(view, owned);
+        assert_eq!(view.as_bytes(), owned.as_bytes());
+        assert_eq!(view.to_vec(), owned.to_vec());
+        assert_eq!(format!("{view:?}"), format!("{owned:?}"));
+        let (mut a, mut b) = (view.reader(), owned.reader());
+        assert_eq!(a.remaining(), b.remaining());
+        assert_eq!(a.read_varint(), b.read_varint());
+        assert_eq!(a.read_bits(3), b.read_bits(3));
+        assert_eq!(a.read_bool(), Err(crate::DecodeError::OutOfBits));
+        // equality is the bit length plus the bytes
+        let shorter = Payload::from_bytes(owned.to_vec(), owned.bit_len - 1);
+        assert_ne!(view, shorter);
+        let other = embedded(&[0u8; 3], owned.bit_len);
+        assert_ne!(view, other);
+    }
+
+    #[test]
+    fn a_view_never_exposes_bytes_outside_its_range() {
+        let buf: Arc<[u8]> = (0u8..16).collect::<Vec<_>>().into();
+        for start in 0..=buf.len() {
+            for end in start..=buf.len() {
+                let bits = 8 * (end - start);
+                let view = Payload::view(&buf, start..end, bits);
+                assert_eq!(view.as_bytes(), &buf[start..end]);
+                assert_eq!(view.to_vec(), &buf[start..end]);
+                // a reader sees the range, then zeros, never a neighbour
+                let mut r = view.reader();
+                let read: Vec<u8> = (start..end)
+                    .map(|_| r.read_bits(8).unwrap() as u8)
+                    .collect();
+                assert_eq!(read, &buf[start..end]);
+                assert!(r.read_bool().is_err());
+            }
+        }
+        let empty = embedded(&[], 0);
+        assert_eq!(empty, Payload::empty());
+        assert!(empty.as_bytes().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "range outside the buffer")]
+    fn a_view_past_the_buffer_panics() {
+        let buf: Arc<[u8]> = vec![0u8; 4].into();
+        Payload::view(&buf, 2..5, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bit_len exceeds the buffer")]
+    fn a_view_too_short_for_its_bits_panics() {
+        let buf: Arc<[u8]> = vec![0u8; 4].into();
+        Payload::view(&buf, 1..2, 9);
     }
 
     #[test]

@@ -94,9 +94,16 @@ impl CacheEntry {
     }
 
     /// Bytes charged against the shard budget: certificate payloads
-    /// plus the real per-payload overhead (`Payload` struct in the
-    /// `Vec` + `Arc<[u8]>` allocation header), the verdict vector, both
-    /// encoded buffers, and fixed bookkeeping.
+    /// plus 56 B per certificate, the verdict vector, both encoded
+    /// buffers, and fixed bookkeeping.
+    ///
+    /// The 56 B is what a certificate costs with its own `Arc<[u8]>`
+    /// allocation: the 32 B `Payload` view, the `Arc` header and the
+    /// allocator's rounding. For a packed assignment (the planarity
+    /// prover's, and every decoded one) it is an upper bound: its
+    /// certificates are views of one shared buffer. The charge stays
+    /// as it is, because a smaller one admits more entries and raises
+    /// the resident peak of a server filling its cache with misses.
     pub(crate) fn cost(&self) -> usize {
         let payload = match &self.result {
             ProveResult::Certified {

@@ -54,6 +54,7 @@ use crate::store::{crc32, StoreRecord};
 use dpc_core::harness::Outcome;
 use dpc_core::scheme::Assignment;
 use dpc_graph::{canon, Graph, GraphBuilder};
+use dpc_runtime::bits::varint_len;
 use dpc_runtime::{get_bytes, get_uvarint, put_uvarint, DecodeError};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -144,28 +145,37 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, WireError> {
 
 /// Appends the canonical wire encoding of a graph.
 pub fn encode_graph(out: &mut Vec<u8>, g: &Graph) {
-    put_uvarint(out, g.node_count() as u64);
     let custom = !g.has_default_ids();
+    // reserve an upper bound, so the edge loop never reallocates: two
+    // counts and the flag, the ids as they are, and each endpoint delta
+    // no longer than `n`
+    let bytes = |x: u64| varint_len(x) / 8;
+    let ids: usize = if custom {
+        g.ids().iter().map(|&id| bytes(id)).sum()
+    } else {
+        0
+    };
+    out.reserve(21 + ids + 2 * bytes(g.node_count() as u64) * g.edge_count());
+    put_uvarint(out, g.node_count() as u64);
     put_uvarint(out, custom as u64);
     if custom {
         for &id in g.ids() {
             put_uvarint(out, id);
         }
     }
-    let edges = canon::canonical_edges(g);
-    put_uvarint(out, edges.len() as u64);
+    put_uvarint(out, g.edge_count() as u64);
+    // each edge is the gap to the previous edge's smaller endpoint, then
+    // the larger endpoint's gap to the smaller one (new `u`) or to the
+    // previous larger one (same `u`); both start at 0
     let (mut prev_u, mut prev_v) = (0u32, 0u32);
-    for (i, &(u, v)) in edges.iter().enumerate() {
+    canon::canonical_edge_iter(g).for_each(|(u, v)| {
         let du = u - prev_u;
         put_uvarint(out, du as u64);
-        if i == 0 || du > 0 {
-            put_uvarint(out, (v - u - 1) as u64);
-        } else {
-            put_uvarint(out, (v - prev_v - 1) as u64);
-        }
+        let base = if du > 0 { u } else { prev_v };
+        put_uvarint(out, (v - base - 1) as u64);
         prev_u = u;
         prev_v = v;
-    }
+    });
 }
 
 /// Decodes a wire graph from the front of `buf`, advancing it.

@@ -2,12 +2,13 @@
 //! every generator family, including shuffled-identifier variants, and
 //! the server's certify skim against the full decode.
 
-use dpc_core::harness::certify_pls;
+use dpc_core::harness::{certify_pls, run_with_assignment};
+use dpc_core::scheme::Assignment;
 use dpc_core::schemes::planarity::PlanarityScheme;
 use dpc_graph::{generators, Graph};
-use dpc_runtime::{get_uvarint, put_uvarint};
+use dpc_runtime::{get_uvarint, put_uvarint, DecodeError};
 use dpc_service::registry::{SchemeId, SchemeRegistry};
-use dpc_service::wire::{self, CertifyFlags, Request, Response, Skimmed};
+use dpc_service::wire::{self, CertifyFlags, Request, Response, Skimmed, WireError};
 use proptest::prelude::*;
 
 /// One representative of every generator family (the shared
@@ -320,6 +321,100 @@ fn all_other_response_kinds_roundtrip() {
     for resp in responses {
         let back = Response::decode(&resp.encode()).unwrap();
         assert_eq!(format!("{resp:?}"), format!("{back:?}"));
+    }
+}
+
+/// Every registered scheme's honest assignment round-trips the codec:
+/// the decoded certificates (views of one shared buffer) equal the
+/// prover's, re-encode to the same bytes, and travel in a Certified
+/// response. A body cut short anywhere, or whose certificate count or
+/// first bit length claims more than it holds, fails with the codec's
+/// one error for a short buffer.
+#[test]
+fn assignments_roundtrip_for_every_registered_scheme() {
+    let candidates = [
+        generators::grid(3, 4),
+        generators::cycle(10),
+        generators::star(7),
+        generators::path(9),
+        generators::complete(5),
+        generators::k33_subdivision(1),
+        generators::shuffle_ids(&generators::stacked_triangulation(12, 3), 5),
+        dpc_lowerbounds::blocks::path_of_blocks(4, &[1, 2, 3]).graph,
+    ];
+    let short = DecodeError::OutOfBits;
+    let registry = SchemeRegistry::standard();
+    for entry in registry.entries() {
+        let name = entry.name;
+        let honest: Vec<(&Graph, Assignment)> = candidates
+            .iter()
+            .filter_map(|g| Some((g, entry.scheme().prove(g).ok()?)))
+            .collect();
+        assert!(
+            !honest.is_empty(),
+            "{name}: no yes-instance among the candidates"
+        );
+        for (g, a) in honest {
+            let mut body = Vec::new();
+            a.encode_into(&mut body);
+            let mut rest = &body[..];
+            let back = Assignment::decode_from(&mut rest).unwrap();
+            assert!(rest.is_empty(), "{name}: the decode stops at the end");
+            assert_eq!(back.certs, a.certs, "{name}");
+            for (x, y) in back.certs.iter().zip(&a.certs) {
+                assert_eq!(x.to_vec(), y.to_vec(), "{name}");
+                assert_eq!(x.reader().remaining(), y.reader().remaining(), "{name}");
+            }
+            let mut again = Vec::new();
+            back.encode_into(&mut again);
+            assert_eq!(again, body, "{name}: decoded views re-encode byte for byte");
+
+            let outcome = run_with_assignment(&entry.scheme(), g, &a);
+            let resp = Response::Certified {
+                cached: false,
+                outcome,
+                assignment: a.clone(),
+            };
+            let resp_body = resp.encode();
+            match Response::decode(&resp_body).unwrap() {
+                Response::Certified { assignment, .. } => {
+                    assert_eq!(assignment.certs, a.certs, "{name}")
+                }
+                other => panic!("{name}: kind changed: {other:?}"),
+            }
+            let expected = WireError::Decode(short).to_string();
+            for cut in resp_body.len() - body.len()..resp_body.len() {
+                let err = Response::decode(&resp_body[..cut]).unwrap_err();
+                assert_eq!(err.to_string(), expected, "{name}: response cut at {cut}");
+            }
+
+            for cut in 0..body.len() {
+                let err = Assignment::decode_from(&mut &body[..cut]).unwrap_err();
+                assert_eq!(err, short, "{name}: cut at {cut}");
+            }
+            let count = a.certs.len() as u64;
+            let mut certs = &body[..];
+            get_uvarint(&mut certs).unwrap();
+            let recount = |claimed: u64| {
+                let mut b = Vec::new();
+                put_uvarint(&mut b, claimed);
+                b.extend_from_slice(certs);
+                Assignment::decode_from(&mut &b[..]).unwrap_err()
+            };
+            for claimed in [count + 1, count + 1000, body.len() as u64 + 1, 1 << 24 | 1] {
+                assert_eq!(recount(claimed), short, "{name}: count {claimed}");
+            }
+            if let Some(first) = a.certs.first() {
+                let mut b = Vec::new();
+                put_uvarint(&mut b, count);
+                put_uvarint(&mut b, (8 * body.len() + 1) as u64);
+                let mut rest = certs;
+                get_uvarint(&mut rest).unwrap();
+                b.extend_from_slice(&rest[first.bit_len.div_ceil(8)..]);
+                let err = Assignment::decode_from(&mut &b[..]).unwrap_err();
+                assert_eq!(err, short, "{name}: over-long first certificate");
+            }
+        }
     }
 }
 
