@@ -11,6 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpc_graph::generators;
 use dpc_service::client::Client;
+use dpc_service::cluster::ClusterClient;
 use dpc_service::server::{serve, ServeConfig};
 use dpc_service::wire::Response;
 
@@ -23,7 +24,7 @@ fn expect_certified(resp: Response) {
 
 fn bench_cache(c: &mut Criterion) {
     let handle = serve("127.0.0.1:0", ServeConfig::default()).expect("bind loopback");
-    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut client = ClusterClient::connect(handle.addr()).expect("connect");
     let g = generators::grid(100, 100);
     // populate the cache once
     expect_certified(client.certify(&g, false).expect("warm-up certify"));

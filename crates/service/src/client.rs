@@ -1,4 +1,5 @@
-//! Blocking client for the certification service.
+//! Blocking connection to the certification service, and the options
+//! of each request family.
 //!
 //! One [`Client`] owns one TCP connection. The simple path is
 //! [`Client::call`] (send one request, wait for its response); for
@@ -7,14 +8,16 @@
 //! request order per connection, so responses come back in send
 //! order.
 //!
-//! The request surface is one method per request family, each taking
-//! an options builder (every combination the wire supports, one call
-//! shape):
+//! The operations — certify, check, gen, soundness, interactive,
+//! audit, stats, slowlog — are written once, on [`ClusterClient`]. A
+//! single server is a one-node ring, so the same call runs against
+//! one node or a fleet. Each operation takes an options builder
+//! (every combination the wire supports, one call shape):
 //!
 //! ```no_run
-//! # use dpc_service::{Client, CertifyOptions, SchemeId};
+//! # use dpc_service::{ClusterClient, CertifyOptions, SchemeId};
 //! # let g = dpc_graph::generators::cycle(8);
-//! let mut client = Client::connect("127.0.0.1:7878")?;
+//! let mut client = ClusterClient::connect("127.0.0.1:7878")?;
 //! client.certify(&g, CertifyOptions::new())?; // plain planarity
 //! client.certify(
 //!     &g,
@@ -26,17 +29,16 @@
 //! # Ok::<(), dpc_service::WireError>(())
 //! ```
 
-use crate::metrics::{SlowLogEntry, StatsSnapshot};
+#[cfg(doc)]
+use crate::cluster::ClusterClient;
 use crate::registry::SchemeId;
-use crate::store::StoreRecord;
 use crate::wire::{self, Request, Response, WireError};
-use dpc_graph::Graph;
-use dpc_interactive::dmam::{DmamPlanarity, DmamProtocol};
+use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-/// Options of [`Client::certify`]: scheme routing plus the cache,
+/// Options of [`ClusterClient::certify`]: scheme routing plus the cache,
 /// shape, and transport axes that used to be separate methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CertifyOptions {
@@ -117,7 +119,7 @@ impl From<bool> for CertifyOptions {
     }
 }
 
-/// Options of [`Client::check`].
+/// Options of [`ClusterClient::check`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CheckOptions {
     pub(crate) scheme: SchemeId,
@@ -143,7 +145,7 @@ impl From<SchemeId> for CheckOptions {
     }
 }
 
-/// Options of [`Client::gen`].
+/// Options of [`ClusterClient::gen`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GenOptions {
     pub(crate) scheme: SchemeId,
@@ -170,7 +172,7 @@ impl From<SchemeId> for GenOptions {
     }
 }
 
-/// Options of [`Client::soundness`].
+/// Options of [`ClusterClient::soundness`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SoundnessOptions {
     pub(crate) seed: u64,
@@ -203,7 +205,7 @@ impl From<u64> for SoundnessOptions {
     }
 }
 
-/// Options of [`Client::interactive`].
+/// Options of [`ClusterClient::interactive`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InteractiveOptions {
     pub(crate) seed: u64,
@@ -241,7 +243,7 @@ impl From<u64> for InteractiveOptions {
     }
 }
 
-/// Options of [`Client::audit`].
+/// Options of [`ClusterClient::audit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuditOptions {
     pub(crate) samples: u64,
@@ -276,11 +278,21 @@ impl Default for AuditOptions {
     }
 }
 
-/// A connected client.
+/// Requests a pipelined connection holds in flight at once
+/// ([`Client::pipeline`]): a server delegating graph components to a
+/// peer, and a [`ClusterClient`] sweeping a batch across its ring.
+/// Bounds the bodies buffered on either side of the wire while still
+/// pipelining enough to hide the round trip.
+pub(crate) const DELEGATE_WINDOW: usize = 64;
+
+/// One TCP connection to a `dpc serve` node: frames out, frames back.
+/// The operations live on [`ClusterClient`], which holds one of these
+/// per node it has dialed.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     in_flight: u64,
+    peer: SocketAddr,
 }
 
 impl Client {
@@ -288,11 +300,13 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
+        let peer = stream.peer_addr()?;
         let write_half = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
             writer: BufWriter::new(write_half),
             in_flight: 0,
+            peer,
         })
     }
 
@@ -319,6 +333,11 @@ impl Client {
         }
     }
 
+    /// The address this connection reached.
+    pub(crate) fn peer_addr(&self) -> SocketAddr {
+        self.peer
+    }
+
     /// Sends a request without waiting (pipelining). Pair with
     /// [`Client::recv`].
     pub fn send(&mut self, req: &Request) -> Result<(), WireError> {
@@ -332,11 +351,6 @@ impl Client {
         self.writer.flush()?;
         self.in_flight += 1;
         Ok(())
-    }
-
-    fn call_body(&mut self, body: &[u8]) -> Result<Response, WireError> {
-        self.send_body(body)?;
-        self.recv()
     }
 
     /// Receives the next pipelined response.
@@ -357,251 +371,51 @@ impl Client {
         self.recv()
     }
 
+    /// One pre-encoded request body, one response.
+    pub(crate) fn call_body(&mut self, body: &[u8]) -> Result<Response, WireError> {
+        self.send_body(body)?;
+        self.recv()
+    }
+
     /// Requests sent whose responses have not been received yet.
     pub fn in_flight(&self) -> u64 {
         self.in_flight
     }
 
-    /// Certifies a graph (encoded straight from the borrow — no
-    /// clone). Every shape the wire supports is one option away:
-    /// `client.certify(&g, CertifyOptions::new().scheme(id).bypass())`.
-    /// A plain `bool` still reads as the old bypass-cache flag.
-    pub fn certify(
+    /// Pipelines `(index, body)` requests with at most
+    /// [`DELEGATE_WINDOW`] in flight, handing each response to
+    /// `on_response` with its index, in send order. Returns the
+    /// indices left unanswered when the connection broke — the request
+    /// whose send or receive failed and every one after it — so the
+    /// caller can retry them elsewhere; empty on a clean run. A broken
+    /// connection has lost its stream order: drop it.
+    pub(crate) fn pipeline<'a>(
         &mut self,
-        graph: &Graph,
-        opts: impl Into<CertifyOptions>,
-    ) -> Result<Response, WireError> {
-        let opts = opts.into();
-        if let Some(chunk_bytes) = opts.chunked {
-            return self.certify_via_chunks(graph, opts.bypass, opts.scheme, chunk_bytes);
-        }
-        if opts.cached_only {
-            return self.call_body(&wire::encode_certify_probe_request(graph, opts.scheme));
-        }
-        if opts.summary {
-            return self.call_body(&wire::encode_certify_summary_request(
-                graph,
-                opts.bypass,
-                opts.scheme,
-            ));
-        }
-        self.call_body(&wire::encode_certify_request(
-            graph,
-            opts.bypass,
-            opts.scheme,
-        ))
-    }
-
-    /// The chunked certify transport (`CertifyOptions::chunked`):
-    /// streams the one-pass encoding in CRC-checked chunks and
-    /// returns the final summary-certify response. What the chunking
-    /// bounds is the *server's* peak reassembly memory (per-chunk,
-    /// not per-graph), which is the side that matters when many
-    /// clients upload giant graphs at once.
-    ///
-    /// All frames are pipelined — Begin, every chunk, End go out
-    /// before the first ack is read — so the upload costs one round
-    /// trip plus bandwidth, and every ack is still verified (session
-    /// id and running chunk count) before the final response is
-    /// returned.
-    fn certify_via_chunks(
-        &mut self,
-        graph: &Graph,
-        bypass_cache: bool,
-        scheme: SchemeId,
-        chunk_bytes: usize,
-    ) -> Result<Response, WireError> {
-        let chunk_bytes = chunk_bytes.clamp(1, wire::MAX_CHUNK_BYTES);
-        let mut payload = Vec::new();
-        wire::encode_graph(&mut payload, graph);
-        let session = NEXT_CHUNK_SESSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.send_body(&wire::encode_chunk_begin_request(
-            session,
-            bypass_cache,
-            scheme,
-        ))?;
-        let mut chunks = 0u64;
-        for piece in payload.chunks(chunk_bytes) {
-            self.send_body(&wire::encode_chunk_request(session, chunks, piece))?;
-            chunks += 1;
-        }
-        self.send_body(&wire::encode_chunk_end_request(
-            session,
-            chunks,
-            payload.len() as u64,
-            crate::store::crc32(&payload),
-        ))?;
-        // the Begin ack plus one ack per chunk, in order
-        for expect in 0..=chunks {
-            match self.recv()? {
-                Response::ChunkAck {
-                    session: s,
-                    received,
-                } if s == session && received == expect => {}
-                Response::Error(e) => return Err(WireError::Protocol(e)),
-                other => {
-                    return Err(WireError::Protocol(format!(
-                        "unexpected chunk ack: {other:?}"
-                    )))
+        requests: impl IntoIterator<Item = (usize, &'a [u8])>,
+        mut on_response: impl FnMut(usize, Response),
+    ) -> Vec<usize> {
+        let mut queue = requests.into_iter();
+        let mut pending: VecDeque<usize> = VecDeque::new();
+        'broken: loop {
+            while pending.len() < DELEGATE_WINDOW {
+                let Some((i, body)) = queue.next() else { break };
+                pending.push_back(i);
+                if self.send_body(body).is_err() {
+                    break 'broken;
                 }
             }
+            let Some(&i) = pending.front() else {
+                return Vec::new();
+            };
+            let Ok(resp) = self.recv() else {
+                break 'broken;
+            };
+            pending.pop_front();
+            on_response(i, resp);
         }
-        self.recv()
-    }
-
-    /// Centralized membership check (`CheckOptions` routes it to any
-    /// registered scheme; planarity answers with the rich
-    /// embedding/witness verdicts).
-    pub fn check(
-        &mut self,
-        graph: &Graph,
-        opts: impl Into<CheckOptions>,
-    ) -> Result<Response, WireError> {
-        let opts = opts.into();
-        self.call_body(&wire::encode_check_request(graph, opts.scheme))
-    }
-
-    /// Server-side graph generation.
-    pub fn gen(
-        &mut self,
-        family: &str,
-        n: u32,
-        seed: u64,
-        opts: impl Into<GenOptions>,
-    ) -> Result<Graph, WireError> {
-        let opts = opts.into();
-        match self.call_body(&wire::encode_gen_request(family, n, seed, opts.scheme))? {
-            Response::Generated(g) => Ok(g),
-            Response::Error(e) => Err(WireError::Protocol(e)),
-            other => Err(WireError::Protocol(format!(
-                "unexpected response to Gen: {other:?}"
-            ))),
-        }
-    }
-
-    /// Adversarial soundness probe (`SoundnessOptions` carries the
-    /// replay seed and scheme; a plain `u64` still reads as the old
-    /// seed argument).
-    pub fn soundness(
-        &mut self,
-        graph: &Graph,
-        opts: impl Into<SoundnessOptions>,
-    ) -> Result<Response, WireError> {
-        let opts = opts.into();
-        self.call_body(&wire::encode_soundness_request(
-            graph,
-            opts.seed,
-            opts.scheme,
-        ))
-    }
-
-    /// Runs one full interactive-certification session (wire v8) and
-    /// returns the closing [`Response::Verdict`]. The client plays
-    /// Merlin: it computes the dMAM commitment locally, opens the
-    /// session with `InteractiveBegin` (committing to the seed the
-    /// server will derive its public coin from), answers the
-    /// challenge with the protocol's response round, and hands back
-    /// the server's verdict — which carries the measured soundness
-    /// bound for this graph.
-    pub fn interactive(
-        &mut self,
-        graph: &Graph,
-        opts: impl Into<InteractiveOptions>,
-    ) -> Result<Response, WireError> {
-        let opts = opts.into();
-        let proto = DmamPlanarity::new();
-        let commit = proto
-            .commit(graph)
-            .map_err(|e| WireError::Protocol(format!("cannot open an interactive session: {e}")))?;
-        let session = NEXT_CHUNK_SESSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let challenge = match self.call_body(&wire::encode_interactive_begin_request(
-            session,
-            opts.seed,
-            graph,
-            &commit,
-            opts.scheme,
-        ))? {
-            Response::Challenge {
-                session: s,
-                challenge,
-            } if s == session => challenge,
-            Response::Error(e) => return Err(WireError::Protocol(e)),
-            other => {
-                return Err(WireError::Protocol(format!(
-                    "unexpected response to InteractiveBegin: {other:?}"
-                )))
-            }
-        };
-        let response = proto.respond(graph, &commit, challenge);
-        self.call_body(&wire::encode_interactive_respond_request(
-            session, &response,
-        ))
-    }
-
-    /// Triggers one on-demand audit pass on the server and returns
-    /// its [`Response::AuditReport`] — the same sweep the background
-    /// auditor (`dpc serve --audit`) runs, with the caller's sizing
-    /// and seed.
-    pub fn audit(&mut self, opts: impl Into<AuditOptions>) -> Result<Response, WireError> {
-        let opts = opts.into();
-        self.call_body(&wire::encode_audit_request(opts.samples, opts.seed))
-    }
-
-    /// Server counters.
-    pub fn stats(&mut self) -> Result<StatsSnapshot, WireError> {
-        match self.call_body(&wire::encode_stats_request())? {
-            Response::Stats(s) => Ok(*s),
-            Response::Error(e) => Err(WireError::Protocol(e)),
-            other => Err(WireError::Protocol(format!(
-                "unexpected response to Stats: {other:?}"
-            ))),
-        }
-    }
-
-    /// The server's slow-request log, newest first (requests whose
-    /// end-to-end latency crossed its `--slow-ms` threshold).
-    pub fn slowlog(&mut self) -> Result<Vec<SlowLogEntry>, WireError> {
-        match self.call_body(&wire::encode_slowlog_request())? {
-            Response::SlowLog(entries) => Ok(entries),
-            Response::Error(e) => Err(WireError::Protocol(e)),
-            other => Err(WireError::Protocol(format!(
-                "unexpected response to SlowLog: {other:?}"
-            ))),
-        }
-    }
-
-    /// The server's store content-key digests — the cheap half of an
-    /// anti-entropy exchange (see [`Client::store_push`]).
-    pub fn store_list(&mut self) -> Result<Vec<u128>, WireError> {
-        match self.call_body(&wire::encode_store_list_request())? {
-            Response::StoreKeys(keys) => Ok(keys),
-            Response::Error(e) => Err(WireError::Protocol(e)),
-            other => Err(WireError::Protocol(format!(
-                "unexpected response to StoreList: {other:?}"
-            ))),
-        }
-    }
-
-    /// Streams certificate records into the server's store; returns
-    /// `(merged, duplicates)` — records absorbed vs. keys the server
-    /// already held. Replica writes, read-repair, and the anti-entropy
-    /// sweep all funnel through this one request kind.
-    pub fn store_push(&mut self, records: &[StoreRecord]) -> Result<(u64, u64), WireError> {
-        match self.call_body(&wire::encode_store_push_request(records))? {
-            Response::StorePushed { merged, duplicates } => Ok((merged, duplicates)),
-            Response::Error(e) => Err(WireError::Protocol(e)),
-            other => Err(WireError::Protocol(format!(
-                "unexpected response to StorePush: {other:?}"
-            ))),
-        }
+        pending.into_iter().chain(queue.map(|(i, _)| i)).collect()
     }
 }
-
-/// Process-wide chunk-session id source. Session ids only need to be
-/// distinct per connection (the server tracks one session per
-/// connection), but globally unique ids make interleaved-upload logs
-/// unambiguous for free.
-static NEXT_CHUNK_SESSION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 /// Poll interval of [`Client::connect_with_retry`].
 const RETRY_POLL: Duration = Duration::from_millis(25);

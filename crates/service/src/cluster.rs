@@ -1,5 +1,13 @@
-//! Client-routed clustering: rendezvous hashing across `dpc serve`
-//! nodes, with failover.
+//! The client's one operation surface: rendezvous hashing across
+//! `dpc serve` nodes, with failover.
+//!
+//! Every operation — certify, check, gen, soundness, interactive,
+//! audit, stats, slowlog, and the store exchange — is written once,
+//! on [`ClusterClient`], over the bare [`Client`] connection. A single
+//! server is a one-node ring ([`ClusterClient::connect`]): the prover
+//! needs one interaction and no randomness, so a request proves the
+//! same certificate on any node and can restart on any node, and
+//! routing on a ring of one skips the key hash entirely.
 //!
 //! Certificates are content-addressed (`uvarint(scheme id)` + the
 //! canonical [`dpc_graph::canon::graph_hash`]), and the client
@@ -51,8 +59,11 @@ use dpc_core::batch::BatchSummary;
 use dpc_core::harness::Outcome;
 use dpc_graph::canon;
 use dpc_graph::Graph;
+use dpc_interactive::dmam::{DmamPlanarity, DmamProtocol};
 use dpc_runtime::put_uvarint;
 use std::io;
+use std::net::ToSocketAddrs;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Domain separator between the routing key and the node address in
@@ -320,14 +331,15 @@ fn summary_result(resp: Response) -> Result<Outcome, String> {
     }
 }
 
-/// A client for a cluster of `dpc serve` nodes: rendezvous-routes
-/// each request by its content key and fails over on connection
-/// errors. Connections are opened lazily per node and reused; a
-/// failed connection is dropped and re-dialed on the node's next
-/// turn.
+/// A client for one `dpc serve` node or a cluster of them — the one
+/// place each operation is written. It rendezvous-routes each request
+/// by its content key and fails over on connection errors.
+/// Connections are opened lazily per node and reused; a failed
+/// connection is dropped and re-dialed on the node's next turn. A
+/// single server is a one-node ring ([`ClusterClient::connect`]).
 ///
 /// The wire protocol is exactly the single-node one — a server cannot
-/// tell a `ClusterClient` from a [`Client`].
+/// tell a ring's request from any other.
 pub struct ClusterClient {
     ring: Ring,
     conns: Vec<Option<Client>>,
@@ -340,6 +352,53 @@ pub struct ClusterClient {
     /// 1 (the default) is the original single-owner routing.
     replication: usize,
     stats: ClusterStats,
+}
+
+/// Process-wide session id source for chunked uploads and interactive
+/// sessions. Ids only need to be distinct per connection (the server
+/// tracks one session per connection), but globally unique ids make
+/// interleaved logs unambiguous for free.
+static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
+
+/// Takes the payload of the response variant `$pat`: an error
+/// response becomes [`WireError::Protocol`] with the server's text,
+/// any other variant an "unexpected response" error.
+macro_rules! expect {
+    ($resp:expr, $what:literal, $pat:pat => $val:expr) => {
+        match $resp {
+            $pat => Ok($val),
+            Response::Error(e) => Err(WireError::Protocol(e)),
+            other => Err(WireError::Protocol(format!(
+                concat!("unexpected response to ", $what, ": {:?}"),
+                other
+            ))),
+        }
+    };
+}
+
+/// The `(merged, duplicates)` counts of a StorePush answer.
+fn pushed(resp: Response) -> Result<(u64, u64), WireError> {
+    expect!(resp, "StorePush", Response::StorePushed { merged, duplicates } =>
+        (merged, duplicates))
+}
+
+/// Folds the answers of every node that answered into one; errors
+/// only when no node answered.
+fn fold<T: Clone>(
+    answers: &[(String, Result<T, WireError>)],
+    merge: impl Fn(&mut T, &T),
+) -> Result<T, WireError> {
+    let mut up = answers
+        .iter()
+        .filter_map(|(_, answer)| answer.as_ref().ok());
+    let Some(mut folded) = up.next().cloned() else {
+        return Err(WireError::Io(io::Error::new(
+            io::ErrorKind::NotConnected,
+            "no cluster node is reachable",
+        )));
+    };
+    up.for_each(|answer| merge(&mut folded, answer));
+    Ok(folded)
 }
 
 impl ClusterClient {
@@ -366,6 +425,21 @@ impl ClusterClient {
             replication: 1,
             stats,
         }
+    }
+
+    /// A one-node ring over one server, dialed at once: an unreachable
+    /// address fails here, not at the first request.
+    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<ClusterClient> {
+        Client::connect(addr).map(ClusterClient::from)
+    }
+
+    /// [`ClusterClient::connect`], retrying the dial for up to `wait`
+    /// (see [`Client::connect_with_retry`]).
+    pub fn connect_with_retry<A: ToSocketAddrs + Copy>(
+        addr: A,
+        wait: Duration,
+    ) -> io::Result<ClusterClient> {
+        Client::connect_with_retry(addr, wait).map(ClusterClient::from)
     }
 
     /// Keeps each certificate on the top-`k` nodes of its rendezvous
@@ -409,22 +483,36 @@ impl ClusterClient {
     }
 
     /// The client-side traffic counters.
-    pub fn stats(&self) -> &ClusterStats {
+    pub fn cluster_stats(&self) -> &ClusterStats {
         &self.stats
     }
 
-    /// Routes one pre-encoded request body by `key`: tries the ranked
-    /// nodes in order, excluding each node that fails at the
-    /// connection level for the remainder of this request.
-    pub fn route(&mut self, key: &[u8], body: &[u8]) -> Result<Response, WireError> {
-        let ranked = self.ring.rank(key);
+    /// Node indices ranked for a request, best first. A one-node ring
+    /// has one ranking, so `key` — for a graph-carrying request, a hash
+    /// over the whole graph — is never computed.
+    fn ranked(&self, key: impl FnOnce() -> Vec<u8>) -> Vec<usize> {
+        if self.ring.len() == 1 {
+            return vec![0];
+        }
+        self.ring.rank(&key())
+    }
+
+    /// Runs one request — a single frame, or a session of several
+    /// that must share a connection — on the `ranked` nodes in order.
+    /// A connection-level error (dead node, broken or unparseable
+    /// stream) excludes that node for the rest of this request and
+    /// restarts the whole request on the next one; an answer, error
+    /// responses included, is returned.
+    fn route(
+        &mut self,
+        ranked: &[usize],
+        mut run: impl FnMut(&mut Client) -> Result<Response, WireError>,
+    ) -> Result<Response, WireError> {
         let mut last_err: Option<WireError> = None;
         for (hop, &idx) in ranked.iter().enumerate() {
-            match self.try_node(idx, body) {
+            match self.try_node(idx, &mut run) {
                 Ok(resp) => {
-                    if hop > 0 {
-                        self.stats.failovers += hop as u64;
-                    }
+                    self.stats.failovers += hop as u64;
                     self.stats.requests += 1;
                     self.stats.per_node[idx].routed += 1;
                     return Ok(resp);
@@ -456,61 +544,107 @@ impl ClusterClient {
     }
 
     /// One attempt against one node; any error drops its cached
-    /// connection.
-    fn try_node(&mut self, idx: usize, body: &[u8]) -> Result<Response, WireError> {
-        let client = self.ensure_conn(idx)?;
-        match client.send_body(body).and_then(|()| client.recv()) {
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                // a broken stream poisons the pipeline ordering:
-                // always re-dial this node next time
-                self.conns[idx] = None;
-                Err(e)
-            }
+    /// connection — a broken stream poisons the pipeline ordering, so
+    /// the node is always re-dialed next time.
+    fn try_node<T>(
+        &mut self,
+        idx: usize,
+        run: impl FnOnce(&mut Client) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        let result = self.ensure_conn(idx).and_then(run);
+        if result.is_err() {
+            self.conns[idx] = None;
         }
+        result
     }
 
     /// Certifies a graph on the owning node (or, with a replication
     /// factor above one, across the top-k replicas — bypass requests
     /// always take the plain single-owner path, since their whole
-    /// point is a fresh prove). Takes the same [`CertifyOptions`] the
-    /// direct [`Client`] takes, so call sites swap between the two
-    /// without rephrasing; the one option that cannot be routed is
-    /// `chunked` (a multi-frame upload has no single body to fail
-    /// over), which errors rather than silently degrading.
+    /// point is a fresh prove). A chunked upload goes whole to the
+    /// owner and restarts on the next-ranked node if its connection
+    /// fails, like an interactive session.
     pub fn certify(
         &mut self,
         graph: &Graph,
         opts: impl Into<CertifyOptions>,
     ) -> Result<Response, WireError> {
         let opts = opts.into();
-        if opts.chunked.is_some() {
-            return Err(WireError::Protocol(
-                "chunked upload is connection-oriented and cannot fail over; \
-                 open a direct Client to the owning node"
-                    .to_string(),
-            ));
+        let ranked = self.ranked(|| graph_key(opts.scheme, graph));
+        if let Some(chunk_bytes) = opts.chunked {
+            return self.certify_chunked(&ranked, graph, opts, chunk_bytes);
         }
-        let key = graph_key(opts.scheme, graph);
-        if opts.cached_only {
-            return self.route(
-                &key,
-                &wire::encode_certify_probe_request(graph, opts.scheme),
-            );
-        }
-        if opts.summary {
-            return self.route(
-                &key,
-                &wire::encode_certify_summary_request(graph, opts.bypass, opts.scheme),
-            );
-        }
-        if self.replication > 1 && !opts.bypass {
-            return self.certify_replicated(graph, opts.scheme);
-        }
-        self.route(
-            &key,
-            &wire::encode_certify_request(graph, opts.bypass, opts.scheme),
-        )
+        let body = if opts.cached_only {
+            wire::encode_certify_probe_request(graph, opts.scheme)
+        } else if opts.summary {
+            wire::encode_certify_summary_request(graph, opts.bypass, opts.scheme)
+        } else if self.replication > 1 && !opts.bypass {
+            return self.certify_replicated(&ranked, graph, opts.scheme);
+        } else {
+            wire::encode_certify_request(graph, opts.bypass, opts.scheme)
+        };
+        self.route(&ranked, |c| c.call_body(&body))
+    }
+
+    /// The chunked certify transport (`CertifyOptions::chunked`):
+    /// streams the one-pass encoding in CRC-checked chunks and
+    /// returns the final summary-certify response. What the chunking
+    /// bounds is the *server's* peak reassembly memory (per-chunk,
+    /// not per-graph), which is the side that matters when many
+    /// clients upload giant graphs at once.
+    ///
+    /// All frames are pipelined — Begin, every chunk, End go out
+    /// before the first ack is read — so the upload costs one round
+    /// trip plus bandwidth, and every ack is still verified (session
+    /// id and running chunk count). A frame the server refuses makes
+    /// its error the answer, after the remaining acks are read, so
+    /// the connection stays in step.
+    fn certify_chunked(
+        &mut self,
+        ranked: &[usize],
+        graph: &Graph,
+        opts: CertifyOptions,
+        chunk_bytes: usize,
+    ) -> Result<Response, WireError> {
+        let chunk_bytes = chunk_bytes.clamp(1, wire::MAX_CHUNK_BYTES);
+        let mut payload = Vec::new();
+        wire::encode_graph(&mut payload, graph);
+        let session = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
+        let chunks = payload.len().div_ceil(chunk_bytes) as u64;
+        let begin = wire::encode_chunk_begin_request(session, opts.bypass, opts.scheme);
+        let end = wire::encode_chunk_end_request(
+            session,
+            chunks,
+            payload.len() as u64,
+            crate::store::crc32(&payload),
+        );
+        self.route(ranked, |c| {
+            c.send_body(&begin)?;
+            for (seq, piece) in payload.chunks(chunk_bytes).enumerate() {
+                c.send_body(&wire::encode_chunk_request(session, seq as u64, piece))?;
+            }
+            c.send_body(&end)?;
+            // the Begin ack plus one ack per chunk, in order
+            let mut refused = None;
+            for expect in 0..=chunks {
+                match c.recv()? {
+                    Response::ChunkAck {
+                        session: s,
+                        received,
+                    } if s == session && received == expect => {}
+                    Response::Error(e) => {
+                        refused.get_or_insert(e);
+                    }
+                    other => {
+                        return Err(WireError::Protocol(format!(
+                            "unexpected chunk ack: {other:?}"
+                        )))
+                    }
+                }
+            }
+            let answer = c.recv()?;
+            Ok(refused.map_or(answer, Response::Error))
+        })
     }
 
     /// The k>1 certify path: walk the top-k replicas with cached-only
@@ -520,17 +654,16 @@ impl ClusterClient {
     /// is then copied to the other replicas.
     fn certify_replicated(
         &mut self,
+        ranked: &[usize],
         graph: &Graph,
         scheme: SchemeId,
     ) -> Result<Response, WireError> {
-        let key = graph_key(scheme, graph);
-        let ranked = self.ring.rank(&key);
-        let replicas: Vec<usize> = ranked[..self.replication.min(ranked.len())].to_vec();
+        let replicas = &ranked[..self.replication.min(ranked.len())];
         let probe = wire::encode_certify_probe_request(graph, scheme);
         let mut hops = 0u64;
         let mut missed: Vec<usize> = Vec::new();
-        for &idx in &replicas {
-            match self.try_node(idx, &probe) {
+        for &idx in replicas {
+            match self.try_node(idx, |c| c.call_body(&probe)) {
                 Ok(Response::Error(e)) if e == wire::NOT_CACHED => missed.push(idx),
                 Ok(resp) => {
                     self.stats.requests += 1;
@@ -559,14 +692,17 @@ impl ClusterClient {
         }
         // no replica holds it (or none was reachable): one real
         // certify, failing over down the full ranking as usual
-        let resp = self.route(&key, &wire::encode_certify_request(graph, false, scheme))?;
+        let body = wire::encode_certify_request(graph, false, scheme);
+        let resp = self.route(ranked, |c| c.call_body(&body))?;
         if let Some(record) = response_record(scheme, graph, &resp) {
             // the answering node cached and stored the result itself;
             // the other replicas get an explicit copy (a push to a
             // node that already holds the key is a cheap duplicate)
+            let push = wire::encode_store_push_request(std::slice::from_ref(&record));
             for &idx in &replicas[1..] {
-                match self.push_record(idx, &record) {
-                    Ok(()) => self.stats.replica_writes += 1,
+                let copied = self.try_node(idx, |c| c.call_body(&push));
+                match copied.and_then(pushed) {
+                    Ok(_) => self.stats.replica_writes += 1,
                     Err(_) => self.stats.replica_errors += 1,
                 }
             }
@@ -574,26 +710,12 @@ impl ClusterClient {
         Ok(resp)
     }
 
-    /// Pushes one record to one node over the cached connection; any
-    /// error drops the connection, like every other per-node call.
-    fn push_record(&mut self, idx: usize, record: &StoreRecord) -> Result<(), WireError> {
-        let client = self.ensure_conn(idx)?;
-        match client.store_push(std::slice::from_ref(record)) {
-            Ok(_) => Ok(()),
-            Err(e) => {
-                self.conns[idx] = None;
-                Err(e)
-            }
-        }
-    }
-
     /// Certifies a batch of graphs across the whole fleet: each graph
     /// is summary-certified on its rendezvous owner, with all of one
-    /// node's graphs pipelined on its connection (send the window,
-    /// then read answers — bandwidth plus one round trip, not one
-    /// round trip per graph). A node that dies mid-pipeline fails its
-    /// unanswered graphs over down the ranking one by one, like any
-    /// routed request.
+    /// node's graphs pipelined on its connection (bandwidth plus one
+    /// round trip, not one round trip per graph).
+    /// A node that dies mid-pipeline fails its unanswered graphs over
+    /// down the ranking one by one, like any routed request.
     ///
     /// Results come back in input order and are folded with
     /// [`BatchSummary::fold`] — the same integer fold a single node
@@ -605,14 +727,17 @@ impl ClusterClient {
         bypass_cache: bool,
         scheme: SchemeId,
     ) -> DistributedReport {
-        let keys: Vec<Vec<u8>> = graphs.iter().map(|g| graph_key(scheme, g)).collect();
+        let ranks: Vec<Vec<usize>> = graphs
+            .iter()
+            .map(|g| self.ranked(|| graph_key(scheme, g)))
+            .collect();
         let bodies: Vec<Vec<u8>> = graphs
             .iter()
             .map(|g| wire::encode_certify_summary_request(g, bypass_cache, scheme))
             .collect();
         let mut buckets: Vec<Vec<usize>> = (0..self.ring.len()).map(|_| Vec::new()).collect();
-        for (i, key) in keys.iter().enumerate() {
-            buckets[self.ring.owner(key)].push(i);
+        for (i, ranked) in ranks.iter().enumerate() {
+            buckets[ranked[0]].push(i);
         }
         let mut results: Vec<Option<Result<Outcome, String>>> =
             (0..graphs.len()).map(|_| None).collect();
@@ -624,11 +749,28 @@ impl ClusterClient {
             if idxs.is_empty() {
                 continue;
             }
-            let unanswered = self.pipeline_summaries(node, &idxs, &bodies, &mut results);
-            // the owner died mid-pipeline: its leftovers take the
-            // ordinary ranked route, one round trip each
+            let mut answered = 0u64;
+            let unanswered = match self.ensure_conn(node) {
+                Ok(client) => client.pipeline(
+                    idxs.iter().map(|&i| (i, bodies[i].as_slice())),
+                    |i, resp| {
+                        answered += 1;
+                        results[i] = Some(summary_result(resp));
+                    },
+                ),
+                Err(_) => idxs,
+            };
+            self.stats.requests += answered;
+            self.stats.per_node[node].routed += answered;
+            if !unanswered.is_empty() {
+                // a dead dial, or a broken stream that poisons the
+                // pipeline ordering: re-dial next time, and route the
+                // leftovers the ordinary way, one round trip each
+                self.conns[node] = None;
+                self.stats.per_node[node].failures += 1;
+            }
             for i in unanswered {
-                match self.route(&keys[i], &bodies[i]) {
+                match self.route(&ranks[i], |c| c.call_body(&bodies[i])) {
                     Ok(resp) => results[i] = Some(summary_result(resp)),
                     Err(e) => {
                         delegate_errors += 1;
@@ -661,71 +803,6 @@ impl ClusterClient {
         }
     }
 
-    /// Pipelines pre-encoded summary-certify bodies (`idxs` into
-    /// `bodies`) on one node's connection, filling `results` as
-    /// answers land. Returns the indices left unanswered when the
-    /// connection failed (empty on a clean run); the caller routes
-    /// those individually. Window-bounded like the server's own
-    /// peer delegation.
-    fn pipeline_summaries(
-        &mut self,
-        node: usize,
-        idxs: &[usize],
-        bodies: &[Vec<u8>],
-        results: &mut [Option<Result<Outcome, String>>],
-    ) -> Vec<usize> {
-        const WINDOW: usize = 64;
-        if self.ensure_conn(node).is_err() {
-            self.stats.per_node[node].failures += 1;
-            return idxs.to_vec();
-        }
-        // take the connection out of its slot for the duration: the
-        // stats fields stay borrowable while the pipeline runs
-        let mut client = self.conns[node].take().expect("just connected");
-        let mut queue: std::collections::VecDeque<usize> = idxs.iter().copied().collect();
-        let mut pending: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-        let mut unanswered: Vec<usize> = Vec::new();
-        let mut answered = 0u64;
-        let mut dead = false;
-        loop {
-            while !dead && pending.len() < WINDOW {
-                let Some(i) = queue.pop_front() else { break };
-                match client.send_body(&bodies[i]) {
-                    Ok(()) => pending.push_back(i),
-                    Err(_) => {
-                        dead = true;
-                        unanswered.push(i);
-                    }
-                }
-            }
-            let Some(i) = pending.pop_front() else { break };
-            if dead {
-                unanswered.push(i);
-                continue;
-            }
-            match client.recv() {
-                Ok(resp) => {
-                    answered += 1;
-                    results[i] = Some(summary_result(resp));
-                }
-                Err(_) => {
-                    dead = true;
-                    unanswered.push(i);
-                }
-            }
-        }
-        unanswered.extend(queue);
-        self.stats.requests += answered;
-        self.stats.per_node[node].routed += answered;
-        if dead {
-            // a broken stream poisons the pipeline ordering: re-dial
-            self.stats.per_node[node].failures += 1;
-        } else {
-            self.conns[node] = Some(client);
-        }
-        unanswered
-    }
-
     /// Membership check on the owning node.
     pub fn check(
         &mut self,
@@ -733,8 +810,9 @@ impl ClusterClient {
         opts: impl Into<CheckOptions>,
     ) -> Result<Response, WireError> {
         let opts = opts.into();
-        let key = graph_key(opts.scheme, graph);
-        self.route(&key, &wire::encode_check_request(graph, opts.scheme))
+        let ranked = self.ranked(|| graph_key(opts.scheme, graph));
+        let body = wire::encode_check_request(graph, opts.scheme);
+        self.route(&ranked, |c| c.call_body(&body))
     }
 
     /// Server-side generation, routed by the generation parameters.
@@ -746,156 +824,135 @@ impl ClusterClient {
         opts: impl Into<GenOptions>,
     ) -> Result<Graph, WireError> {
         let opts = opts.into();
-        let key = gen_key(opts.scheme, family, n, seed);
-        match self.route(
-            &key,
-            &wire::encode_gen_request(family, n, seed, opts.scheme),
-        )? {
-            Response::Generated(g) => Ok(g),
-            Response::Error(e) => Err(WireError::Protocol(e)),
-            other => Err(WireError::Protocol(format!(
-                "unexpected response to Gen: {other:?}"
-            ))),
-        }
+        let ranked = self.ranked(|| gen_key(opts.scheme, family, n, seed));
+        let body = wire::encode_gen_request(family, n, seed, opts.scheme);
+        let resp = self.route(&ranked, |c| c.call_body(&body))?;
+        expect!(resp, "Gen", Response::Generated(g) => g)
     }
 
-    /// Soundness probe on the owning node.
+    /// Adversarial soundness probe on the owning node
+    /// (`SoundnessOptions` carries the replay seed and scheme; a plain
+    /// `u64` reads as the seed).
     pub fn soundness(
         &mut self,
         graph: &Graph,
         opts: impl Into<SoundnessOptions>,
     ) -> Result<Response, WireError> {
         let opts = opts.into();
-        let key = graph_key(opts.scheme, graph);
-        self.route(
-            &key,
-            &wire::encode_soundness_request(graph, opts.seed, opts.scheme),
-        )
+        let ranked = self.ranked(|| graph_key(opts.scheme, graph));
+        let body = wire::encode_soundness_request(graph, opts.seed, opts.scheme);
+        self.route(&ranked, |c| c.call_body(&body))
     }
 
-    /// Runs one interactive-certification session against the graph's
-    /// owning node, failing over down the ranking like any routed
-    /// request. A session is two ordered frames on one connection, so
-    /// failover restarts the *whole* session on the next node — safe,
-    /// because a session is as idempotent as a certify (same graph,
-    /// same seed, same transcript on every correct node).
+    /// Runs one full interactive-certification session (wire v8) on
+    /// the graph's owning node and returns the closing
+    /// [`Response::Verdict`]. The client plays Merlin: it computes
+    /// the dMAM commitment locally, opens the session with
+    /// `InteractiveBegin` (committing to the seed the server will
+    /// derive its public coin from), answers the challenge with the
+    /// protocol's response round, and hands back the server's verdict
+    /// — which carries the measured soundness bound for this graph.
+    ///
+    /// A session is two ordered frames on one connection, so failover
+    /// restarts the *whole* session on the next node — safe, because
+    /// a session is as idempotent as a certify (same graph, same
+    /// seed, same transcript on every correct node).
     pub fn interactive(
         &mut self,
         graph: &Graph,
         opts: impl Into<InteractiveOptions>,
     ) -> Result<Response, WireError> {
         let opts = opts.into();
-        let key = graph_key(opts.scheme, graph);
-        let ranked = self.ring.rank(&key);
-        let mut last_err: Option<WireError> = None;
-        for (hop, &idx) in ranked.iter().enumerate() {
-            let attempt = self
-                .ensure_conn(idx)
-                .and_then(|client| client.interactive(graph, opts));
-            match attempt {
-                Ok(resp) => {
-                    if hop > 0 {
-                        self.stats.failovers += hop as u64;
-                    }
-                    self.stats.requests += 1;
-                    self.stats.per_node[idx].routed += 1;
-                    return Ok(resp);
+        let proto = DmamPlanarity::new();
+        let commit = proto
+            .commit(graph)
+            .map_err(|e| WireError::Protocol(format!("cannot open an interactive session: {e}")))?;
+        let session = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
+        let begin =
+            wire::encode_interactive_begin_request(session, opts.seed, graph, &commit, opts.scheme);
+        let ranked = self.ranked(|| graph_key(opts.scheme, graph));
+        self.route(&ranked, |c| {
+            let challenge = match c.call_body(&begin)? {
+                Response::Challenge {
+                    session: s,
+                    challenge,
+                } if s == session => challenge,
+                refused @ Response::Error(_) => return Ok(refused),
+                other => {
+                    return Err(WireError::Protocol(format!(
+                        "unexpected response to InteractiveBegin: {other:?}"
+                    )))
                 }
-                Err(e @ WireError::Io(_)) => {
-                    // connection-level: drop the conn, try the next node
-                    self.conns[idx] = None;
-                    self.stats.per_node[idx].failures += 1;
-                    last_err = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.stats.exhausted += 1;
-        Err(last_err.expect("ring is nonempty"))
+            };
+            let response = proto.respond(graph, &commit, challenge);
+            c.call_body(&wire::encode_interactive_respond_request(
+                session, &response,
+            ))
+        })
     }
 
-    /// Broadcasts one on-demand audit pass to every node (`Err` for
-    /// unreachable ones). Like [`ClusterClient::node_stats`], a
-    /// broadcast: no routing key, no [`ClusterStats`] accounting.
-    /// Every node gets the same sampling seed, so a fleet-wide report
-    /// is reproducible end to end.
+    /// Sends one node-addressed request (no routing key) to every
+    /// node, in ring order: each node's answer as `want` checks it,
+    /// or its error. A broadcast leaves [`ClusterStats`] alone.
+    fn broadcast<T>(
+        &mut self,
+        body: &[u8],
+        want: impl Fn(Response) -> Result<T, WireError>,
+    ) -> Vec<(String, Result<T, WireError>)> {
+        (0..self.ring.len())
+            .map(|idx| {
+                let answer = self.try_node(idx, |c| c.call_body(body)).and_then(&want);
+                (self.ring.addrs()[idx].clone(), answer)
+            })
+            .collect()
+    }
+
+    /// One on-demand audit pass on every node, as its `(sampled,
+    /// failed, quarantined)` counts — the same sweep the background
+    /// auditor (`dpc serve --audit`) runs, with the caller's sizing
+    /// and seed. Every node gets the same sampling seed, so a
+    /// fleet-wide report is reproducible end to end.
+    #[allow(clippy::type_complexity)]
     pub fn node_audits(
         &mut self,
         opts: impl Into<AuditOptions>,
-    ) -> Vec<(String, Result<Response, WireError>)> {
+    ) -> Vec<(String, Result<(u64, u64, u64), WireError>)> {
         let opts = opts.into();
-        let addrs: Vec<String> = self.ring.addrs().to_vec();
-        addrs
-            .into_iter()
-            .enumerate()
-            .map(|(idx, addr)| {
-                let result = self.audit_of(idx, opts);
-                (addr, result)
-            })
-            .collect()
+        let body = wire::encode_audit_request(opts.samples, opts.seed);
+        self.broadcast(&body, |r| {
+            expect!(r, "Audit", Response::AuditReport { sampled, failed, quarantined } =>
+                (sampled, failed, quarantined))
+        })
     }
 
-    fn audit_of(&mut self, idx: usize, opts: AuditOptions) -> Result<Response, WireError> {
-        let client = self.ensure_conn(idx)?;
-        match client.audit(opts) {
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                self.conns[idx] = None;
-                Err(e)
-            }
-        }
+    /// The fleet's audit pass: [`ClusterClient::node_audits`] summed
+    /// into one [`Response::AuditReport`]. Errors only when no node
+    /// answered.
+    pub fn audit(&mut self, opts: impl Into<AuditOptions>) -> Result<Response, WireError> {
+        let (sampled, failed, quarantined) = fold(&self.node_audits(opts), |total, node| {
+            total.0 += node.0;
+            total.1 += node.1;
+            total.2 += node.2;
+        })?;
+        Ok(Response::AuditReport {
+            sampled,
+            failed,
+            quarantined,
+        })
     }
 
     /// Every node's Stats snapshot (`Err` for unreachable nodes).
-    /// Stats carries no routing key: it is a broadcast, not a routed
-    /// request, and does not touch [`ClusterStats`].
     pub fn node_stats(&mut self) -> Vec<(String, Result<StatsSnapshot, WireError>)> {
-        let addrs: Vec<String> = self.ring.addrs().to_vec();
-        addrs
-            .into_iter()
-            .enumerate()
-            .map(|(idx, addr)| {
-                let result = self.stats_of(idx);
-                (addr, result)
-            })
-            .collect()
+        self.broadcast(
+            &wire::encode_stats_request(),
+            |r| expect!(r, "Stats", Response::Stats(s) => *s),
+        )
     }
 
-    fn stats_of(&mut self, idx: usize) -> Result<StatsSnapshot, WireError> {
-        let client = self.ensure_conn(idx)?;
-        match client.stats() {
-            Ok(s) => Ok(s),
-            Err(e) => {
-                self.conns[idx] = None;
-                Err(e)
-            }
-        }
-    }
-
-    /// Every node's slow-request log (`Err` for unreachable nodes).
-    /// Like [`ClusterClient::node_stats`], a broadcast: no routing
-    /// key, no [`ClusterStats`] accounting.
-    pub fn node_slowlog(&mut self) -> Vec<(String, Result<Vec<SlowLogEntry>, WireError>)> {
-        let addrs: Vec<String> = self.ring.addrs().to_vec();
-        addrs
-            .into_iter()
-            .enumerate()
-            .map(|(idx, addr)| {
-                let result = self.slowlog_of(idx);
-                (addr, result)
-            })
-            .collect()
-    }
-
-    fn slowlog_of(&mut self, idx: usize) -> Result<Vec<SlowLogEntry>, WireError> {
-        let client = self.ensure_conn(idx)?;
-        match client.slowlog() {
-            Ok(entries) => Ok(entries),
-            Err(e) => {
-                self.conns[idx] = None;
-                Err(e)
-            }
-        }
+    /// The server counters: on a one-node ring that node's snapshot,
+    /// on a larger one the fleet view of [`ClusterClient::fleet_stats`].
+    pub fn stats(&mut self) -> Result<StatsSnapshot, WireError> {
+        fold(&self.node_stats(), StatsSnapshot::absorb)
     }
 
     /// The fleet view: every reachable node's Stats v3 snapshot
@@ -913,22 +970,62 @@ impl ClusterClient {
         WireError,
     > {
         let per_node = self.node_stats();
-        let mut fleet: Option<StatsSnapshot> = None;
-        for (_, result) in &per_node {
-            if let Ok(s) = result {
-                match &mut fleet {
-                    Some(f) => f.absorb(s),
-                    None => fleet = Some(s.clone()),
-                }
-            }
-        }
-        match fleet {
-            Some(f) => Ok((f, per_node)),
-            None => Err(WireError::Io(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "no cluster node is reachable",
-            ))),
-        }
+        let fleet = fold(&per_node, StatsSnapshot::absorb)?;
+        Ok((fleet, per_node))
+    }
+
+    /// Every node's slow-request log (`Err` for unreachable nodes).
+    pub fn node_slowlog(&mut self) -> Vec<(String, Result<Vec<SlowLogEntry>, WireError>)> {
+        self.broadcast(
+            &wire::encode_slowlog_request(),
+            |r| expect!(r, "SlowLog", Response::SlowLog(entries) => entries),
+        )
+    }
+
+    /// The slow-request log, newest first (requests whose end-to-end
+    /// latency crossed a server's `--slow-ms` threshold), every node's
+    /// entries merged. Errors only when no node answered.
+    pub fn slowlog(&mut self) -> Result<Vec<SlowLogEntry>, WireError> {
+        let mut entries = fold(&self.node_slowlog(), |all, more| {
+            all.extend_from_slice(more)
+        })?;
+        entries.sort_by_key(|e| e.age_us);
+        Ok(entries)
+    }
+
+    /// The store content-key digests of every node — the cheap half of
+    /// an anti-entropy exchange (see [`ClusterClient::store_push`]). A
+    /// key several nodes hold appears once per node.
+    pub fn store_list(&mut self) -> Result<Vec<u128>, WireError> {
+        let keys = self.broadcast(
+            &wire::encode_store_list_request(),
+            |r| expect!(r, "StoreList", Response::StoreKeys(keys) => keys),
+        );
+        fold(&keys, |all, more| all.extend_from_slice(more))
+    }
+
+    /// Streams certificate records into every node's store; returns
+    /// `(merged, duplicates)` summed over the nodes — records absorbed
+    /// vs. keys a node already held. Replica writes, read-repair, and
+    /// the anti-entropy sweep all funnel through this one request
+    /// kind. Errors only when no node answered.
+    pub fn store_push(&mut self, records: &[StoreRecord]) -> Result<(u64, u64), WireError> {
+        let body = wire::encode_store_push_request(records);
+        fold(&self.broadcast(&body, pushed), |a, b| {
+            a.0 += b.0;
+            a.1 += b.1;
+        })
+    }
+}
+
+impl From<Client> for ClusterClient {
+    /// A one-node ring over an open connection, which it keeps using.
+    fn from(client: Client) -> ClusterClient {
+        let ring = Ring::new([client.peer_addr().to_string()]).expect("one address");
+        let mut cc = ClusterClient::over(ring);
+        cc.dialed[0] = true;
+        cc.conns[0] = Some(client);
+        cc
     }
 }
 
@@ -971,10 +1068,8 @@ fn read_repair(targets: Vec<String>, record: StoreRecord) {
     let _ = std::thread::Builder::new()
         .name("dpc-read-repair".into())
         .spawn(move || {
-            for addr in targets {
-                if let Ok(mut client) = Client::connect(addr.as_str()) {
-                    let _ = client.store_push(std::slice::from_ref(&record));
-                }
+            if let Ok(mut targets) = ClusterClient::new(targets) {
+                let _ = targets.store_push(std::slice::from_ref(&record));
             }
         });
 }
@@ -1061,7 +1156,7 @@ mod tests {
             let resp = cc.certify(g, false).unwrap();
             assert!(matches!(resp, Response::Certified { .. }), "{resp:?}");
         }
-        let stats = cc.stats().clone();
+        let stats = cc.cluster_stats().clone();
         assert_eq!(stats.requests, 6);
         assert_eq!(
             stats.failovers, 3,
@@ -1105,8 +1200,8 @@ mod tests {
             elapsed < wait * 2,
             "dead node stalls once per client, not per request: {elapsed:?}"
         );
-        assert_eq!(cc.stats().requests, 8);
-        assert_eq!(cc.stats().failovers, 4);
+        assert_eq!(cc.cluster_stats().requests, 8);
+        assert_eq!(cc.cluster_stats().failovers, 4);
         handle.shutdown();
     }
 
@@ -1115,8 +1210,8 @@ mod tests {
         let mut cc = ClusterClient::new(["127.0.0.1:1"]).unwrap();
         let g = generators::grid(3, 3);
         assert!(cc.certify(&g, false).is_err());
-        assert_eq!(cc.stats().exhausted, 1);
-        assert_eq!(cc.stats().requests, 0);
+        assert_eq!(cc.cluster_stats().exhausted, 1);
+        assert_eq!(cc.cluster_stats().requests, 0);
         assert!(cc.fleet_stats().is_err(), "no node reachable");
     }
 }

@@ -28,15 +28,17 @@
 //!   same-scheme Certify requests into
 //!   [`dpc_core::batch::BatchRunner`] batches, and streams responses
 //!   back in request order per connection;
-//! * [`client`] — a blocking client with request pipelining and one
-//!   options-builder call per verb ([`CertifyOptions`] and friends)
-//!   instead of a method per wire shape;
-//! * [`cluster`] — client-side horizontal scale: a
-//!   [`cluster::ClusterClient`] rendezvous-hashes each request's
-//!   content key (`uvarint(scheme id)` + canonical graph hash) across
-//!   N server addresses and fails over down the ranking when a node
-//!   is unreachable — the servers stay share-nothing on the request
-//!   path, and with [`ClusterClient::with_replication`] each
+//! * [`client`] — one blocking connection ([`Client`]: frames out,
+//!   frames back, request pipelining) and the options builders of the
+//!   request families ([`CertifyOptions`] and friends);
+//! * [`cluster`] — the one operation surface: a
+//!   [`cluster::ClusterClient`] writes each operation once, and
+//!   rendezvous-hashes each request's content key (`uvarint(scheme
+//!   id)` + canonical graph hash) across N server addresses, failing
+//!   over down the ranking when a node is unreachable. A single server
+//!   is a one-node ring ([`ClusterClient::connect`]), which skips the
+//!   hash. The servers stay share-nothing on the request path, and
+//!   with [`ClusterClient::with_replication`] each
 //!   certificate is written to the key's top-k ranked nodes, reads
 //!   read-repair cold replicas, and `dpc serve --peers` adds a
 //!   server-side anti-entropy sweep that streams missing store
@@ -54,10 +56,10 @@
 //! ```
 //! use dpc_service::registry::SchemeId;
 //! use dpc_service::wire::Response;
-//! use dpc_service::{client::Client, server, CertifyOptions};
+//! use dpc_service::{server, CertifyOptions, ClusterClient};
 //!
 //! let handle = server::serve("127.0.0.1:0", Default::default()).unwrap();
-//! let mut client = Client::connect(handle.addr()).unwrap();
+//! let mut client = ClusterClient::connect(handle.addr()).unwrap();
 //! let g = dpc_graph::generators::grid(6, 6);
 //! // planarity (the default scheme): first query proves ...
 //! let first = client.certify(&g, CertifyOptions::new()).unwrap();

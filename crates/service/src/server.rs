@@ -1354,11 +1354,6 @@ fn process_certify_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     }
 }
 
-/// Delegated component certifies a peer may hold in flight at once.
-/// Bounds the bodies buffered on either side of the wire while still
-/// pipelining enough to hide the round trip.
-const DELEGATE_WINDOW: usize = 64;
-
 /// One component's answer while a composite certify is in flight.
 enum CompAnswer {
     /// The component certified; its outcome joins the merge.
@@ -1500,7 +1495,8 @@ fn prove_composite(
 }
 
 /// Pipelines `comps` (component index, pre-encoded summary-certify
-/// body) to one peer, keeping at most [`DELEGATE_WINDOW`] requests in
+/// body) to one peer, keeping at most
+/// [`DELEGATE_WINDOW`](crate::client::DELEGATE_WINDOW) requests in
 /// flight. Successful answers land in `answers`; every failure —
 /// dial, transport, or error response — pushes the component index
 /// onto `local` for the fallback prove and counts a delegation error.
@@ -1516,54 +1512,26 @@ fn delegate_to_peer(
         m.delegated_errors.fetch_add(1, Ordering::Relaxed);
         local.push(j);
     };
-    let mut client = match crate::client::Client::connect(addr) {
-        Ok(client) => client,
-        Err(_) => {
-            for (j, _) in comps {
-                fall_back(j);
-            }
-            return;
-        }
-    };
-    let mut queue: std::collections::VecDeque<(usize, Vec<u8>)> = comps.into();
-    let mut pending: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let mut dead = false;
-    loop {
-        while !dead && pending.len() < DELEGATE_WINDOW {
-            let Some((j, body)) = queue.pop_front() else {
-                break;
-            };
-            match client.send_body(&body) {
-                Ok(()) => pending.push_back(j),
-                Err(_) => {
-                    dead = true;
-                    fall_back(j);
-                }
-            }
-        }
-        let Some(j) = pending.pop_front() else { break };
-        if dead {
+    let Ok(mut client) = crate::client::Client::connect(addr) else {
+        for (j, _) in comps {
             fall_back(j);
-            continue;
         }
-        match client.recv() {
-            Ok(Response::CertifiedSummary { outcome, .. }) => {
-                m.delegated_proves.fetch_add(1, Ordering::Relaxed);
-                answers[j] = Some(CompAnswer::Outcome(outcome));
-            }
-            Ok(Response::Declined { reason, .. }) => {
-                m.delegated_proves.fetch_add(1, Ordering::Relaxed);
-                answers[j] = Some(CompAnswer::Declined(reason));
-            }
-            Ok(_) => fall_back(j),
-            Err(_) => {
-                dead = true;
-                fall_back(j);
-            }
+        return;
+    };
+    let requests = comps.iter().map(|(j, body)| (*j, body.as_slice()));
+    let unanswered = client.pipeline(requests, |j, resp| match resp {
+        Response::CertifiedSummary { outcome, .. } => {
+            m.delegated_proves.fetch_add(1, Ordering::Relaxed);
+            answers[j] = Some(CompAnswer::Outcome(outcome));
         }
-    }
-    // the transport died before everything was even sent
-    for (j, _) in queue {
+        Response::Declined { reason, .. } => {
+            m.delegated_proves.fetch_add(1, Ordering::Relaxed);
+            answers[j] = Some(CompAnswer::Declined(reason));
+        }
+        _ => fall_back(j),
+    });
+    // the transport died: everything from the break on proves here
+    for j in unanswered {
         fall_back(j);
     }
 }
@@ -1730,7 +1698,7 @@ fn anti_entropy_sweep(shared: &Arc<Shared>) {
 /// the peer actually merged (its own duplicates excluded).
 fn sweep_peer(shared: &Arc<Shared>, peer: &str) -> Result<u64, WireError> {
     const SWEEP_BATCH: usize = 256;
-    let mut client = crate::client::Client::connect(peer)?;
+    let mut client = cluster::ClusterClient::connect(peer)?;
     let theirs: std::collections::HashSet<u128> = client.store_list()?.into_iter().collect();
     let mut merged = 0u64;
     let mut batch: Vec<crate::store::StoreRecord> = Vec::new();

@@ -112,6 +112,13 @@ fn protocol(msg: impl Into<String>) -> WireError {
     WireError::Protocol(msg.into())
 }
 
+/// Reads a uvarint that must fit a `u32` field: a larger value is a
+/// protocol error naming `what`, never a silent truncation.
+fn get_u32(buf: &mut &[u8], what: &str) -> Result<u32, WireError> {
+    let v = get_uvarint(buf)?;
+    u32::try_from(v).map_err(|_| protocol(format!("{what} {v} does not fit in 32 bits")))
+}
+
 // ---------------------------------------------------------------------------
 // Frames.
 
@@ -1122,7 +1129,7 @@ impl Request {
             },
             REQ_GEN => Request::Gen {
                 family: decode_string(&mut buf)?,
-                n: get_uvarint(&mut buf)? as u32,
+                n: get_u32(&mut buf, "gen node count")?,
                 seed: get_uvarint(&mut buf)?,
                 scheme: decode_extensions(&mut buf)?,
             },
@@ -1733,7 +1740,7 @@ impl Response {
                         }
                         let mut branch_nodes = Vec::with_capacity(count);
                         for _ in 0..count {
-                            branch_nodes.push(get_uvarint(&mut buf)? as u32);
+                            branch_nodes.push(get_u32(&mut buf, "branch node")?);
                         }
                         CheckVerdict::NonPlanar {
                             k5,

@@ -81,7 +81,7 @@ fn three_node_ring_survives_a_kill_and_merges_the_dead_store() {
             "{again:?}"
         );
     }
-    let routing = cc.stats().clone();
+    let routing = cc.cluster_stats().clone();
     assert_eq!(routing.requests, 2 * work.len() as u64);
     assert_eq!(routing.failovers, 0, "all nodes are up: {routing:?}");
     assert_eq!(
@@ -116,7 +116,7 @@ fn three_node_ring_survives_a_kill_and_merges_the_dead_store() {
             "failover must answer: {resp:?}"
         );
     }
-    let routing = cc.stats().clone();
+    let routing = cc.cluster_stats().clone();
     assert_eq!(routing.requests, work.len() as u64, "no request was lost");
     assert_eq!(routing.exhausted, 0);
     assert!(routing.failovers > 0, "the victim owned keys: {routing:?}");
@@ -199,10 +199,10 @@ fn restarted_survivor_serves_the_merged_certificates_without_reproving() {
         ));
     }
     assert_eq!(
-        cc.stats().nodes_used(),
+        cc.cluster_stats().nodes_used(),
         2,
         "both nodes took traffic: {:?}",
-        cc.stats()
+        cc.cluster_stats()
     );
     for h in handles {
         h.shutdown();
@@ -260,7 +260,6 @@ fn disjoint_union(sizes: &[u32], seed: u64) -> dpc_graph::Graph {
 #[test]
 fn distributed_summary_fold_is_byte_identical_to_the_sequential_one() {
     use dpc_core::batch::BatchSummary;
-    use dpc_service::client::Client;
     use std::time::Duration;
 
     // every node knows the other two as peers, so a summary certify
@@ -293,7 +292,8 @@ fn distributed_summary_fold_is_byte_identical_to_the_sequential_one() {
 
     // the sequential reference: one node folds every outcome itself,
     // in input order, with the cache bypassed so both sweeps prove
-    let mut single = Client::connect_with_retry(addrs[0].as_str(), Duration::from_secs(5)).unwrap();
+    let mut single =
+        ClusterClient::connect_with_retry(addrs[0].as_str(), Duration::from_secs(5)).unwrap();
     let seq_results: Vec<Result<_, String>> = graphs
         .iter()
         .map(|g| {
@@ -337,13 +337,68 @@ fn distributed_summary_fold_is_byte_identical_to_the_sequential_one() {
     let mut merges = 0u64;
     let mut delegated = 0u64;
     for addr in &addrs {
-        let mut c = Client::connect(addr.as_str()).unwrap();
+        let mut c = ClusterClient::connect(addr.as_str()).unwrap();
         let stats = c.stats().unwrap();
         merges += stats.outcome_merges;
         delegated += stats.delegated_proves;
     }
     assert!(merges >= 4, "each disjoint union merges: {merges}");
     assert!(delegated >= 1, "no component prove was delegated");
+
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// A chunked certify routes like an interactive session: the whole
+/// upload goes to the graph's owner, and with the owner down it
+/// restarts on the next-ranked node — answering, both times, the
+/// summary a plain summary certify gets from the owner.
+#[test]
+fn chunked_certify_goes_to_the_owner_and_restarts_on_rank_two() {
+    use dpc_service::cluster::graph_key;
+    let mut handles: Vec<ServerHandle> = (0..3)
+        .map(|_| serve("127.0.0.1:0", ServeConfig::default()).unwrap())
+        .collect();
+    let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
+    let ring = Ring::new(addrs.clone()).unwrap();
+    let g = generators::stacked_triangulation(60, 5);
+    let ranked = ring.rank(&graph_key(SchemeId::PLANARITY, &g));
+    let (owner, rank2) = (ranked[0], ranked[1]);
+    let summary = |resp: Response| match resp {
+        Response::CertifiedSummary { outcome, .. } => outcome,
+        other => panic!("{other:?}"),
+    };
+
+    // the reference: a plain summary certify sent to the owner
+    let mut direct = ClusterClient::connect(addrs[owner].as_str()).unwrap();
+    let want = summary(direct.certify(&g, CertifyOptions::new().summary()).unwrap());
+    assert!(want.all_accept());
+
+    // through the 3-node ring, the upload lands whole on the owner
+    let chunked = CertifyOptions::new().chunked(64);
+    let mut cc = ClusterClient::over(ring.clone());
+    assert_eq!(summary(cc.certify(&g, chunked).unwrap()), want);
+    let routing = cc.cluster_stats().clone();
+    assert_eq!(routing.per_node[owner].routed, 1, "{routing:?}");
+    assert_eq!(routing.failovers, 0, "{routing:?}");
+    assert_eq!(handles[owner].stats().chunk_sessions, 1);
+
+    // owner down: the whole upload restarts on rank 2 and answers
+    handles.remove(owner).shutdown();
+    let mut cc = ClusterClient::over(ring);
+    assert_eq!(summary(cc.certify(&g, chunked).unwrap()), want);
+    let routing = cc.cluster_stats().clone();
+    assert_eq!(routing.requests, 1, "{routing:?}");
+    assert_eq!(routing.failovers, 1, "{routing:?}");
+    assert_eq!(routing.exhausted, 0, "{routing:?}");
+    assert_eq!(routing.per_node[owner].failures, 1, "{routing:?}");
+    assert_eq!(routing.per_node[rank2].routed, 1, "{routing:?}");
+    let rank2_handle = handles
+        .iter()
+        .find(|h| h.addr().to_string() == addrs[rank2])
+        .unwrap();
+    assert_eq!(rank2_handle.stats().chunk_sessions, 1);
 
     for h in handles {
         h.shutdown();

@@ -1,11 +1,11 @@
 //! End-to-end tests for the epoll reactor front end: partial I/O,
 //! pipelining, idle reaping, and byte-parity with the threaded
-//! front end. Raw `TcpStream`s (not the [`Client`]) are used
+//! front end. Raw `TcpStream`s (not the [`ClusterClient`]) are used
 //! throughout so the tests control exactly which bytes are on the
 //! wire and when.
 
 use dpc_graph::generators;
-use dpc_service::client::Client;
+use dpc_service::cluster::ClusterClient;
 use dpc_service::server::{serve, ServeConfig};
 use dpc_service::wire::{self, Response};
 use proptest::prelude::*;
@@ -233,7 +233,7 @@ fn idle_connections_are_reaped_and_counted() {
     assert_eq!(eof, 0, "idle connection must be closed by the server");
 
     // the reap is visible in stats (queried over a fresh connection)
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let stats = client.stats().unwrap();
     assert!(stats.idle_timeouts >= 1, "idle reap not counted: {stats:?}");
     assert!(stats.conns_accepted >= 2);
@@ -261,7 +261,7 @@ fn storm_sees_zero_failed_requests() {
     assert_eq!(report.connect_failures, 0, "{report:?}");
     assert_eq!(report.failed(), 0, "{report:?}");
     assert_eq!(report.ok, 128 * 4, "every response decoded, none Error");
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let stats = client.stats().unwrap();
     assert!(stats.conns_accepted >= 128);
     handle.shutdown();
@@ -343,7 +343,7 @@ fn chunked_upload_frames_are_byte_identical_across_front_ends() {
         }
 
         // the chunk counters moved on this front end
-        let mut client = Client::connect(handle.addr()).unwrap();
+        let mut client = ClusterClient::connect(handle.addr()).unwrap();
         let stats = client.stats().unwrap();
         assert_eq!(stats.chunk_sessions, 2);
         assert_eq!(stats.chunk_chunks, 2 * pieces.len() as u64);

@@ -10,6 +10,7 @@
 
 use dpc_graph::generators;
 use dpc_service::client::Client;
+use dpc_service::cluster::ClusterClient;
 use dpc_service::registry::SchemeId;
 use dpc_service::wire::{self, Response};
 use dpc_service::{serve, ServeConfig, ServerHandle};
@@ -149,7 +150,7 @@ fn giant_stream_proves_distributed_and_merges_byte_identically() {
         "giant: single-node sweep {single_wall:?}, VmHWM {} KiB",
         vm_hwm_kib()
     );
-    let mut c = Client::connect(single.addr()).unwrap();
+    let mut c = ClusterClient::connect(single.addr()).unwrap();
     let stats = c.stats().unwrap();
     assert!(
         stats.chunk_chunks >= (payload.len() / wire::DEFAULT_CHUNK_BYTES) as u64,
@@ -205,7 +206,7 @@ fn giant_stream_proves_distributed_and_merges_byte_identically() {
     // fleet evidence: components crossed the ring
     let mut delegated = 0u64;
     for addr in &addrs {
-        let mut c = Client::connect(addr.as_str()).unwrap();
+        let mut c = ClusterClient::connect(addr.as_str()).unwrap();
         delegated += c.stats().unwrap().delegated_proves;
     }
     assert!(delegated >= 1, "no component prove was delegated");

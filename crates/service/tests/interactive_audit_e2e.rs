@@ -8,6 +8,7 @@ use dpc_core::scheme::Assignment;
 use dpc_graph::generators;
 use dpc_interactive::dmam::{DmamPlanarity, DmamProtocol};
 use dpc_service::client::Client;
+use dpc_service::cluster::ClusterClient;
 use dpc_service::registry::SchemeId;
 use dpc_service::server::{serve, ServeConfig};
 use dpc_service::store::{crc32, RecordKind, SegmentStore, StoreRecord};
@@ -40,7 +41,7 @@ fn front_end(event_loop: bool) -> dpc_service::ServerHandle {
 #[test]
 fn honest_interactive_session_accepts_with_the_papers_bound() {
     let handle = front_end(false);
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let g = generators::stacked_triangulation(40, 3);
     let max_deg = (0..g.node_count() as u32)
         .map(|v| g.degree(v))
@@ -128,6 +129,7 @@ fn forged_sessions_are_detected_at_a_positive_rate() {
     }
     let rate = rejected as f64 / trials as f64;
     assert!(rate > 0.0, "some challenge must catch the lie");
+    let mut client = ClusterClient::from(client);
     let stats = client.stats().unwrap();
     assert_eq!(stats.interactive_sessions, trials);
     assert_eq!(stats.interactive_rejects, rejected);
@@ -284,7 +286,7 @@ fn auditor_quarantines_crc_valid_corruption_store_verify_accepts() {
         },
     )
     .unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     match client.certify(&g, CertifyOptions::new()).unwrap() {
         Response::Certified { cached: false, .. } => {}
         other => panic!("{other:?}"),
@@ -320,7 +322,7 @@ fn auditor_quarantines_crc_valid_corruption_store_verify_accepts() {
         },
     )
     .unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     match client
         .audit(AuditOptions::new().samples(16).seed(5))
         .unwrap()
@@ -369,7 +371,7 @@ fn background_auditor_sweeps_quarantine_corruption() {
         },
     )
     .unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     client.certify(&g, CertifyOptions::new()).unwrap();
     handle.shutdown();
 
@@ -397,7 +399,7 @@ fn background_auditor_sweeps_quarantine_corruption() {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
     // and the repaired path stays invisible to clients
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     match client.certify(&g, CertifyOptions::new()).unwrap() {
         Response::Certified {
             cached: false,

@@ -1,7 +1,7 @@
 //! End-to-end tests of the tracing plane: per-stage histograms, the
 //! slow-request log, and the Prometheus scrape endpoint.
 
-use dpc_service::{CheckOptions, Client, ServeConfig, ServerHandle, StatsSnapshot};
+use dpc_service::{CheckOptions, ClusterClient, ServeConfig, ServerHandle, StatsSnapshot};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -37,7 +37,7 @@ fn stage_counts_sum_to_completed_requests(event_loop: bool) {
         event_loop,
         ..ServeConfig::default()
     });
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let g = dpc_graph::generators::grid(5, 5);
     let requests = 24u64;
     for i in 0..requests {
@@ -93,7 +93,7 @@ fn slow_log_captures_a_slow_prove_with_its_breakdown() {
         slow_ms: 1,
         ..ServeConfig::default()
     });
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let g = dpc_graph::generators::grid(30, 30);
     client.certify(&g, true).unwrap();
     wait_for(
@@ -128,7 +128,7 @@ fn slow_log_threshold_zero_disables_capture() {
         slow_ms: 0,
         ..ServeConfig::default()
     });
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let g = dpc_graph::generators::grid(30, 30);
     client.certify(&g, true).unwrap();
     // give the write-side trace close a moment, then confirm nothing
@@ -159,7 +159,7 @@ fn metrics_endpoint_serves_prometheus_text() {
         ..ServeConfig::default()
     });
     let metrics_addr = handle.metrics_addr().expect("metrics endpoint bound");
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let g = dpc_graph::generators::grid(6, 6);
     client.certify(&g, false).unwrap();
     client.certify(&g, false).unwrap();

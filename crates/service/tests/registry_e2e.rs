@@ -4,6 +4,7 @@
 use dpc_graph::generators;
 use dpc_lowerbounds::blocks::path_of_blocks;
 use dpc_service::client::Client;
+use dpc_service::cluster::ClusterClient;
 use dpc_service::registry::{SchemeId, SchemeRegistry};
 use dpc_service::server::{serve, serve_with_registry, ServeConfig};
 use dpc_service::wire::{self, CheckVerdict, Request, Response};
@@ -20,7 +21,7 @@ fn test_server() -> dpc_service::ServerHandle {
 #[test]
 fn four_schemes_certify_over_the_wire() {
     let handle = test_server();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let grid = generators::grid(6, 6); // planar, bipartite, connected
     let blocks = path_of_blocks(4, &[2, 1, 3]).graph;
     let cases = [
@@ -79,7 +80,7 @@ fn four_schemes_certify_over_the_wire() {
 #[test]
 fn per_scheme_cache_isolation_over_every_registered_scheme() {
     let handle = test_server();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     // grid(4,4): planarity/universal certify it, bipartite certifies
     // it, tree/path/path-outerplanar/non-planarity/mod-counter decline
     // it — and declines are cached too, so isolation is observable for
@@ -158,6 +159,7 @@ fn unknown_scheme_id_is_a_clean_error() {
         other => panic!("{other:?}"),
     }
     // the connection survives: a well-formed request still works
+    let mut client = ClusterClient::from(client);
     match client
         .certify(&g, CertifyOptions::new().scheme(SchemeId::BIPARTITE))
         .unwrap()
@@ -205,6 +207,7 @@ fn corrupt_extension_blocks_get_error_responses() {
         }
     }
     // stream still in sync
+    let mut client = ClusterClient::from(client);
     match client.check(&g, CheckOptions::new()).unwrap() {
         Response::Checked(CheckVerdict::Planar { .. }) => {}
         other => panic!("{other:?}"),
@@ -217,7 +220,7 @@ fn corrupt_extension_blocks_get_error_responses() {
 #[test]
 fn check_and_soundness_route_by_scheme() {
     let handle = test_server();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
 
     // planarity keeps the rich verdict
     match client
@@ -279,7 +282,7 @@ fn check_and_soundness_route_by_scheme() {
 fn restricted_registry_rejects_unregistered_schemes() {
     let registry = SchemeRegistry::with_schemes(&["bipartite", "tree"]).unwrap();
     let handle = serve_with_registry("127.0.0.1:0", ServeConfig::default(), registry).unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let g = generators::grid(4, 4);
     match client
         .certify(&g, CertifyOptions::new().scheme(SchemeId::BIPARTITE))

@@ -10,7 +10,7 @@ use dpc_service::cluster::{graph_key, graphs_by_owner, ClusterClient, Ring};
 use dpc_service::registry::SchemeId;
 use dpc_service::store::{CertStore, SegmentConfig, SegmentStore, StoreRecord};
 use dpc_service::wire::Response;
-use dpc_service::{serve, CertifyOptions, Client, ServeConfig, ServerHandle};
+use dpc_service::{serve, CertifyOptions, ServeConfig, ServerHandle};
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -54,7 +54,7 @@ fn replicated_node(addrs: &[String], i: usize, base: &Path) -> ServerHandle {
 
 /// The store content keys a node currently holds, as a set.
 fn keys_of(addr: &str) -> BTreeSet<u128> {
-    let mut client = Client::connect_with_retry(addr, Duration::from_secs(5)).unwrap();
+    let mut client = ClusterClient::connect_with_retry(addr, Duration::from_secs(5)).unwrap();
     client.store_list().unwrap().into_iter().collect()
 }
 
@@ -103,7 +103,7 @@ fn killed_replica_loses_no_requests_and_anti_entropy_converges_it() {
             "fresh key must prove: {resp:?}"
         );
     }
-    let routing = cc.stats().clone();
+    let routing = cc.cluster_stats().clone();
     assert_eq!(routing.requests, work.len() as u64);
     assert_eq!(
         routing.replica_writes,
@@ -142,7 +142,7 @@ fn killed_replica_loses_no_requests_and_anti_entropy_converges_it() {
             "a surviving replica must hold the key: {resp:?}"
         );
     }
-    let routing = cc.stats().clone();
+    let routing = cc.cluster_stats().clone();
     assert_eq!(routing.requests, work.len() as u64, "no request was lost");
     assert_eq!(routing.exhausted, 0, "{routing:?}");
     let proves_after: HashMap<String, u64> = cc
@@ -238,7 +238,7 @@ fn read_repair_backfills_the_cold_rank1_replica() {
     let (rank1, rank2) = (ranked[0], ranked[1]);
 
     // warm only the rank-2 node, directly past the cluster router
-    let mut warm = Client::connect(addrs[rank2].as_str()).unwrap();
+    let mut warm = ClusterClient::connect(addrs[rank2].as_str()).unwrap();
     assert!(matches!(
         warm.certify(&g, false).unwrap(),
         Response::Certified { cached: false, .. }
@@ -252,12 +252,27 @@ fn read_repair_backfills_the_cold_rank1_replica() {
         matches!(resp, Response::Certified { cached: true, .. }),
         "the warm replica serves the read: {resp:?}"
     );
-    assert_eq!(cc.stats().read_repairs, 1, "{:?}", cc.stats());
-    assert_eq!(cc.stats().per_node[rank2].routed, 1, "{:?}", cc.stats());
-    assert_eq!(cc.stats().per_node[rank1].routed, 0, "{:?}", cc.stats());
+    assert_eq!(
+        cc.cluster_stats().read_repairs,
+        1,
+        "{:?}",
+        cc.cluster_stats()
+    );
+    assert_eq!(
+        cc.cluster_stats().per_node[rank2].routed,
+        1,
+        "{:?}",
+        cc.cluster_stats()
+    );
+    assert_eq!(
+        cc.cluster_stats().per_node[rank1].routed,
+        0,
+        "{:?}",
+        cc.cluster_stats()
+    );
 
     // the backfill lands: rank-1's store-records gauge goes 0 -> 1
-    let mut gauge = Client::connect(addrs[rank1].as_str()).unwrap();
+    let mut gauge = ClusterClient::connect(addrs[rank1].as_str()).unwrap();
     wait_for(
         "read-repair to backfill rank-1",
         Duration::from_secs(10),
@@ -267,8 +282,13 @@ fn read_repair_backfills_the_cold_rank1_replica() {
     // the second query hits rank-1 directly — repaired, not re-repaired
     let resp = cc.certify(&g, false).unwrap();
     assert!(matches!(resp, Response::Certified { cached: true, .. }));
-    assert_eq!(cc.stats().per_node[rank1].routed, 1, "{:?}", cc.stats());
-    assert_eq!(cc.stats().read_repairs, 1, "a hit repairs nothing");
+    assert_eq!(
+        cc.cluster_stats().per_node[rank1].routed,
+        1,
+        "{:?}",
+        cc.cluster_stats()
+    );
+    assert_eq!(cc.cluster_stats().read_repairs, 1, "a hit repairs nothing");
 
     // offline, the repaired record is byte-identical to the original
     for h in handles {
@@ -297,7 +317,7 @@ fn second_sweep_between_converged_peers_transfers_nothing() {
     let handles: Vec<ServerHandle> = (0..2).map(|i| replicated_node(&addrs, i, &base)).collect();
 
     // seed node 0 only; the sweep must carry everything to node 1
-    let mut seed_client = Client::connect(addrs[0].as_str()).unwrap();
+    let mut seed_client = ClusterClient::connect(addrs[0].as_str()).unwrap();
     let graphs: Vec<dpc_graph::Graph> = (0..4u64)
         .map(|seed| generators::stacked_triangulation(15, seed))
         .collect();
@@ -312,12 +332,12 @@ fn second_sweep_between_converged_peers_transfers_nothing() {
         Duration::from_secs(30),
         || keys_of(&addrs[1]).len() == graphs.len(),
     );
-    let mut peer = Client::connect(addrs[1].as_str()).unwrap();
+    let mut peer = ClusterClient::connect(addrs[1].as_str()).unwrap();
     assert_eq!(peer.stats().unwrap().store_records, graphs.len() as u64);
 
     // wait for a sweep-round boundary, capture the counters, then let
     // two more full rounds run: nothing may move
-    let sweeps_at = |c: &mut Client| c.stats().unwrap().repl_sweeps;
+    let sweeps_at = |c: &mut ClusterClient| c.stats().unwrap().repl_sweeps;
     let s0 = sweeps_at(&mut seed_client);
     wait_for(
         "a post-convergence sweep round",

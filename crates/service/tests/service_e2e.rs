@@ -5,6 +5,7 @@ use dpc_core::schemes::planarity::PlanarityScheme;
 use dpc_graph::generators;
 use dpc_service::cache::CacheConfig;
 use dpc_service::client::Client;
+use dpc_service::cluster::ClusterClient;
 use dpc_service::server::{serve, ServeConfig};
 use dpc_service::wire::{CheckVerdict, Request, Response};
 use dpc_service::{CertifyOptions, CheckOptions, GenOptions};
@@ -17,7 +18,7 @@ fn test_server() -> dpc_service::ServerHandle {
 #[test]
 fn repeated_certify_is_served_from_cache_byte_identical() {
     let handle = test_server();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let g = generators::stacked_triangulation(60, 5);
 
     let first = client.certify(&g, false).unwrap();
@@ -77,7 +78,7 @@ fn repeated_certify_is_served_from_cache_byte_identical() {
 #[test]
 fn bypass_cache_always_proves() {
     let handle = test_server();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let g = generators::grid(6, 6);
     for _ in 0..3 {
         match client.certify(&g, true).unwrap() {
@@ -95,7 +96,7 @@ fn bypass_cache_always_proves() {
 #[test]
 fn non_planar_and_disconnected_decline() {
     let handle = test_server();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
 
     let k5 = generators::complete(5);
     match client.certify(&k5, false).unwrap() {
@@ -124,7 +125,7 @@ fn non_planar_and_disconnected_decline() {
 #[test]
 fn check_gen_soundness_and_stats_roundtrip() {
     let handle = test_server();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
 
     match client
         .check(&generators::grid(4, 4), CheckOptions::new())
@@ -212,7 +213,7 @@ fn concurrent_clients_share_the_cache() {
     let threads: Vec<_> = (0..4)
         .map(|t| {
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
+                let mut client = ClusterClient::connect(addr).unwrap();
                 let g = generators::stacked_triangulation(50, 9);
                 for _ in 0..5 {
                     match client.certify(&g, false).unwrap() {
@@ -253,7 +254,7 @@ fn eviction_under_a_tiny_budget() {
         },
     )
     .unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     for seed in 0..8u64 {
         let g = generators::stacked_triangulation(40, seed);
         match client.certify(&g, false).unwrap() {
@@ -302,7 +303,7 @@ fn malformed_frames_get_error_responses() {
 #[test]
 fn cache_hit_is_10x_faster_than_miss_on_grid_100() {
     let handle = test_server();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let g = generators::grid(100, 100);
 
     // cold: populates the cache
@@ -358,7 +359,7 @@ fn warm_restart_serves_byte_identical_certificates_without_reproving() {
     let k5 = generators::complete(5);
     let (fresh_suffix, declined_reason) = {
         let handle = serve("127.0.0.1:0", cfg.clone()).unwrap();
-        let mut client = Client::connect(handle.addr()).unwrap();
+        let mut client = ClusterClient::connect(handle.addr()).unwrap();
         let Response::Certified {
             cached: false,
             outcome,
@@ -384,7 +385,7 @@ fn warm_restart_serves_byte_identical_certificates_without_reproving() {
     // second life, same directory: the warm load makes the very first
     // query a cache hit — the prover never runs
     let handle = serve("127.0.0.1:0", cfg).unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let Response::Certified {
         cached: true,
         outcome,
@@ -433,7 +434,7 @@ fn tiny_hot_tier_demotes_to_the_store_and_keeps_serving() {
         },
     )
     .unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let graphs: Vec<_> = (0..6u64)
         .map(|s| generators::stacked_triangulation(40, s))
         .collect();
@@ -476,7 +477,7 @@ fn two_components(n1: u32, n2: u32, seed: u64) -> dpc_graph::Graph {
 #[test]
 fn chunked_upload_certifies_like_a_single_frame() {
     let handle = test_server();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     // n = 200 makes the node-count uvarint two bytes, so 1-byte chunks
     // force the decoder to carry a split uvarint across a chunk
     let g = generators::stacked_triangulation(200, 3);
@@ -527,7 +528,7 @@ fn chunked_upload_certifies_like_a_single_frame() {
 #[test]
 fn chunked_upload_of_a_disconnected_graph_merges_components() {
     let handle = test_server();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = ClusterClient::connect(handle.addr()).unwrap();
     let g = two_components(30, 40, 7);
     assert!(!g.is_connected());
 
@@ -649,6 +650,7 @@ fn malformed_chunk_streams_abort_cleanly_and_the_connection_survives() {
 
     // the connection survives it all: a clean upload and a plain
     // certify still answer normally
+    let mut client = ClusterClient::from(client);
     match client.certify(&g, CertifyOptions::new().scheme(scheme).chunked(7)) {
         Ok(Response::CertifiedSummary { outcome, .. }) => assert!(outcome.all_accept()),
         other => panic!("{other:?}"),

@@ -324,6 +324,49 @@ fn all_other_response_kinds_roundtrip() {
     }
 }
 
+/// A uvarint above `u32::MAX` in a `u32` field is a protocol error on
+/// decode, never a value truncated to its low 32 bits: a Gen asking
+/// for 2^32 + 16 nodes must not be answered with a 16-node graph, and
+/// a NonPlanar verdict must not rename its branch nodes. The server's
+/// skim gives the same verdict and the same error text.
+#[test]
+fn oversized_u32_fields_are_rejected_not_truncated() {
+    let big = (1u64 << 32) + 16;
+    // Gen: kind, family string (length + bytes), n, seed, extensions
+    let gen = wire::encode_gen_request("grid", 16, 1, SchemeId::PLANARITY);
+    let mut rest = &gen[..];
+    get_uvarint(&mut rest).unwrap();
+    let len = get_uvarint(&mut rest).unwrap() as usize;
+    rest = &rest[len..];
+    let n_at = gen.len() - rest.len();
+    assert_eq!(get_uvarint(&mut rest).unwrap(), 16);
+    let mut body = gen[..n_at].to_vec();
+    put_uvarint(&mut body, big);
+    body.extend_from_slice(rest);
+    match Request::decode(&body) {
+        Err(WireError::Protocol(e)) => assert!(e.contains("32 bits"), "{e}"),
+        other => panic!("an oversized node count decoded as {other:?}"),
+    }
+    skim_parity(&body);
+
+    // NonPlanar: kind, verdict tag, k5, count, branch nodes, edges
+    let verdict = Response::Checked(wire::CheckVerdict::NonPlanar {
+        k5: true,
+        branch_nodes: vec![16],
+        witness_edges: 10,
+    });
+    let encoded = verdict.encode();
+    let node_at = encoded.len() - 2;
+    assert_eq!(&encoded[node_at..], &[16, 10]);
+    let mut body = encoded[..node_at].to_vec();
+    put_uvarint(&mut body, big);
+    put_uvarint(&mut body, 10);
+    match Response::decode(&body) {
+        Err(WireError::Protocol(e)) => assert!(e.contains("32 bits"), "{e}"),
+        other => panic!("an oversized branch node decoded as {other:?}"),
+    }
+}
+
 /// Every registered scheme's honest assignment round-trips the codec:
 /// the decoded certificates (views of one shared buffer) equal the
 /// prover's, re-encode to the same bytes, and travel in a Certified

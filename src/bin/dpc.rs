@@ -118,10 +118,10 @@ use dpc_runtime::log_info;
 use dpc_service::cache::CacheConfig;
 use dpc_service::cluster::ClusterClient;
 use dpc_service::registry::{SchemeId, SchemeRegistry};
-use dpc_service::wire::{CheckVerdict, Response};
+use dpc_service::wire::{CheckVerdict, Response, WireError};
 use dpc_service::{
-    AuditOptions, CertifyOptions, CheckOptions, Client, GenOptions, InteractiveOptions,
-    SegmentConfig, SegmentStore, ServeConfig, SlowLogEntry, SoundnessOptions, StatsSnapshot,
+    AuditOptions, CertifyOptions, CheckOptions, GenOptions, InteractiveOptions, SegmentConfig,
+    SegmentStore, ServeConfig, SlowLogEntry, SoundnessOptions, StatsSnapshot,
 };
 use std::net::ToSocketAddrs;
 use std::time::{Duration, Instant};
@@ -217,19 +217,13 @@ fn take_flag_value(args: &mut Vec<&str>, flag: &str) -> Result<Option<String>, S
     Ok(Some(value))
 }
 
-/// The shared connection flags of every client-side command.
-struct ConnFlags {
-    wait: Option<Duration>,
-    nodes: Option<Vec<String>>,
-    replication: usize,
-}
-
 /// Parses the shared connection flags: `--wait-ms <n>` (connect
 /// retry window), `--nodes a,b,c` (cluster routing), and
 /// `--replication <k>` (copies of each certificate on the top-k
 /// ranked nodes; default 2, capped at the ring size, 1 restores
 /// single-owner routing). Replication only applies to ring targets.
-fn take_conn_flags(args: &mut Vec<&str>) -> Result<ConnFlags, String> {
+/// The endpoint has no positional address yet (see [`Endpoint::take`]).
+fn take_conn_flags(args: &mut Vec<&str>) -> Result<Endpoint, String> {
     let wait = take_flag_value(args, "--wait-ms")?
         .map(|v| {
             v.parse::<u64>()
@@ -246,9 +240,10 @@ fn take_conn_flags(args: &mut Vec<&str>) -> Result<ConnFlags, String> {
         })
         .transpose()?
         .unwrap_or(2);
-    Ok(ConnFlags {
-        wait,
+    Ok(Endpoint {
         nodes,
+        addr: None,
+        wait,
         replication,
     })
 }
@@ -724,25 +719,12 @@ fn store_corrupt_cmd(dir: &str) -> Result<String, String> {
     Err(format!("no certified record in {dir} to corrupt"))
 }
 
-/// A cluster client over `nodes`, with the optional connect-retry
-/// window and the replication factor applied (shared by query
-/// --nodes, cluster-stats, audit, and bench-serve --nodes).
-fn ring_client(
-    nodes: Vec<String>,
-    wait: Option<Duration>,
-    replication: usize,
-) -> Result<ClusterClient, String> {
-    let cc = ClusterClient::new(nodes)?.with_replication(replication);
-    Ok(match wait {
-        Some(w) => cc.with_connect_wait(w),
-        None => cc,
-    })
-}
-
-fn connect_wait(addr: &str, wait: Option<Duration>) -> Result<Client, String> {
+/// Dials one server as a one-node ring, retrying refused connects
+/// for the optional `--wait-ms` window.
+fn dial(addr: &str, wait: Option<Duration>) -> Result<ClusterClient, String> {
     match wait {
-        Some(w) => Client::connect_with_retry(addr, w),
-        None => Client::connect(addr),
+        Some(w) => ClusterClient::connect_with_retry(addr, w),
+        None => ClusterClient::connect(addr),
     }
     .map_err(|e| format!("cannot connect to {addr}: {e}"))
 }
@@ -750,10 +732,11 @@ fn connect_wait(addr: &str, wait: Option<Duration>) -> Result<Client, String> {
 /// Where a client-side command points, resolved uniformly across
 /// query / audit / cluster-stats / slowlog / top / bench-serve:
 /// `--nodes a,b,c` names a rendezvous ring; otherwise the first
-/// remaining positional argument is the single server address. The
-/// shared `--wait-ms` (connect retry window) and `--replication`
-/// flags ride along, so every subcommand threads them identically
-/// instead of hand-rolling its own resolution.
+/// remaining positional argument is the server address (or a bare
+/// `a,b,c` list, the `cluster-stats` spelling). The shared `--wait-ms`
+/// (connect retry window) and `--replication` flags ride along, so
+/// every subcommand threads them identically instead of hand-rolling
+/// its own resolution.
 ///
 /// Strip command-specific flags from `args` *before* calling
 /// [`Endpoint::take`] — whatever positional is first when it runs is
@@ -772,148 +755,37 @@ impl Endpoint {
     /// Resolves the endpoint from `args`, consuming the conn flags
     /// and (without `--nodes`) the leading positional address.
     fn take(args: &mut Vec<&str>) -> Result<Endpoint, String> {
-        let ConnFlags {
-            wait,
-            nodes,
-            replication,
-        } = take_conn_flags(args)?;
-        let addr = match nodes {
-            Some(_) => None,
-            None => {
-                if args.is_empty() {
-                    return Err(usage());
-                }
-                Some(args.remove(0).to_string())
+        let mut endpoint = take_conn_flags(args)?;
+        if endpoint.nodes.is_none() {
+            if args.is_empty() {
+                return Err(usage());
             }
-        };
-        Ok(Endpoint {
-            nodes,
-            addr,
-            wait,
-            replication,
-        })
+            endpoint.addr = Some(args.remove(0).to_string());
+        }
+        Ok(endpoint)
     }
 
     fn is_ring(&self) -> bool {
         self.nodes.is_some()
     }
 
-    /// Opens the target: one connected client, or a lazy ring client.
-    fn open(self) -> Result<Target, String> {
-        match self.nodes {
-            Some(addrs) => Ok(Target::Ring(Box::new(ring_client(
-                addrs,
-                self.wait,
-                self.replication,
-            )?))),
-            None => {
-                let addr = self.addr.as_deref().ok_or_else(usage)?;
-                Ok(Target::Single(connect_wait(addr, self.wait)?))
-            }
-        }
-    }
-
-    /// Opens a ring client whether the nodes came from `--nodes` or a
-    /// bare `a,b,c` positional (the `cluster-stats` spelling; a
-    /// single comma-free address is just a one-node ring).
-    fn open_ring(self) -> Result<ClusterClient, String> {
+    /// Opens the target. One address is a one-node ring, dialed at
+    /// once so a dead server fails here; a larger ring dials each
+    /// node on its first request.
+    fn open(self) -> Result<ClusterClient, String> {
         let nodes = match (self.nodes, self.addr) {
             (Some(nodes), _) => nodes,
             (None, Some(csv)) => csv.split(',').map(str::to_string).collect(),
             (None, None) => return Err(usage()),
         };
-        ring_client(nodes, self.wait, self.replication)
-    }
-}
-
-/// Where a query goes: one server, or a rendezvous-routed ring of
-/// them. The ring speaks the identical wire protocol — only the
-/// client-side node choice (and failover) differs. Both arms take
-/// the same options structs, so each verb is one two-line match.
-enum Target {
-    Single(Client),
-    Ring(Box<ClusterClient>),
-}
-
-impl Target {
-    fn certify(
-        &mut self,
-        g: &Graph,
-        opts: CertifyOptions,
-    ) -> Result<Response, dpc_service::WireError> {
-        match self {
-            Target::Single(c) => c.certify(g, opts),
-            Target::Ring(cc) => cc.certify(g, opts),
+        if let [addr] = nodes.as_slice() {
+            return dial(addr, self.wait);
         }
-    }
-
-    fn check(&mut self, g: &Graph, opts: CheckOptions) -> Result<Response, dpc_service::WireError> {
-        match self {
-            Target::Single(c) => c.check(g, opts),
-            Target::Ring(cc) => cc.check(g, opts),
-        }
-    }
-
-    fn gen(
-        &mut self,
-        family: &str,
-        n: u32,
-        seed: u64,
-        opts: GenOptions,
-    ) -> Result<Graph, dpc_service::WireError> {
-        match self {
-            Target::Single(c) => c.gen(family, n, seed, opts),
-            Target::Ring(cc) => cc.gen(family, n, seed, opts),
-        }
-    }
-
-    fn soundness(
-        &mut self,
-        g: &Graph,
-        opts: SoundnessOptions,
-    ) -> Result<Response, dpc_service::WireError> {
-        match self {
-            Target::Single(c) => c.soundness(g, opts),
-            Target::Ring(cc) => cc.soundness(g, opts),
-        }
-    }
-
-    fn interactive(
-        &mut self,
-        g: &Graph,
-        opts: InteractiveOptions,
-    ) -> Result<Response, dpc_service::WireError> {
-        match self {
-            Target::Single(c) => c.interactive(g, opts),
-            Target::Ring(cc) => cc.interactive(g, opts),
-        }
-    }
-
-    fn stats_text(&mut self) -> Result<String, String> {
-        match self {
-            Target::Single(c) => {
-                let stats = c.stats().map_err(|e| e.to_string())?;
-                Ok(format!("{stats}\n"))
-            }
-            Target::Ring(cc) => render_fleet(cc),
-        }
-    }
-
-    /// One labeled Stats poll per node (`None` = unreachable), used
-    /// by `dpc top` to diff consecutive polls. A single server errors
-    /// hard instead — there is nothing to keep watching.
-    fn stats_all(&mut self) -> Result<Vec<(String, Option<StatsSnapshot>)>, String> {
-        match self {
-            Target::Single(c) => {
-                let s = c.stats().map_err(|e| e.to_string())?;
-                Ok(vec![("server".to_string(), Some(s))])
-            }
-            Target::Ring(cc) => Ok(cc
-                .node_stats()
-                .into_iter()
-                .map(|(addr, result)| (addr, result.ok()))
-                .collect()),
-        }
+        let cc = ClusterClient::new(nodes)?.with_replication(self.replication);
+        Ok(match self.wait {
+            Some(w) => cc.with_connect_wait(w),
+            None => cc,
+        })
     }
 }
 
@@ -955,8 +827,7 @@ fn cluster_stats_cmd(rest: &[&str]) -> Result<String, String> {
     if !args.is_empty() {
         return Err(usage());
     }
-    let mut cc = endpoint.open_ring()?;
-    render_fleet(&mut cc)
+    render_fleet(&mut endpoint.open()?)
 }
 
 /// One on-demand audit pass per node: the same randomized sweep
@@ -994,58 +865,38 @@ fn audit_cmd(rest: &[&str]) -> Result<String, String> {
             }
         )
     };
-    if endpoint.is_ring() {
-        let mut cc = endpoint.open_ring()?;
-        let mut out = String::new();
-        let (mut sampled, mut failed, mut quarantined, mut down) = (0u64, 0u64, 0u64, 0usize);
-        let reports = cc.node_audits(opts);
-        let total = reports.len();
-        for (addr, result) in reports {
-            match result {
-                Ok(Response::AuditReport {
-                    sampled: s,
-                    failed: f,
-                    quarantined: q,
-                }) => {
-                    sampled += s;
-                    failed += f;
-                    quarantined += q;
-                    out.push_str(&format!("node {addr}: {}\n", render(s, f, q)));
-                }
-                Ok(Response::Error(e)) => {
-                    down += 1;
-                    out.push_str(&format!("node {addr}: ERROR ({e})\n"));
-                }
-                Ok(other) => return Err(format!("unexpected response to Audit: {other:?}")),
-                Err(e) => {
-                    down += 1;
-                    out.push_str(&format!("node {addr}: DOWN ({e})\n"));
-                }
+    let mut out = String::new();
+    let (mut sampled, mut failed, mut quarantined, mut down) = (0u64, 0u64, 0u64, 0usize);
+    let reports = endpoint.open()?.node_audits(opts);
+    let total = reports.len();
+    for (addr, result) in reports {
+        match result {
+            Ok((s, f, q)) => {
+                sampled += s;
+                failed += f;
+                quarantined += q;
+                out.push_str(&format!("node {addr}: {}\n", render(s, f, q)));
+            }
+            Err(WireError::Protocol(e)) => {
+                down += 1;
+                out.push_str(&format!("node {addr}: ERROR ({e})\n"));
+            }
+            Err(e) => {
+                down += 1;
+                out.push_str(&format!("node {addr}: DOWN ({e})\n"));
             }
         }
-        out.push_str(&format!(
-            "fleet ({}/{total} nodes audited): {}\n",
-            total - down,
-            render(sampled, failed, quarantined),
-        ));
-        return Ok(out);
     }
-    let addr = endpoint.addr.clone().ok_or_else(usage)?;
-    let mut c = connect_wait(&addr, endpoint.wait)?;
-    match c.audit(opts).map_err(|e| e.to_string())? {
-        Response::AuditReport {
-            sampled,
-            failed,
-            quarantined,
-        } => Ok(format!("audit: {}\n", render(sampled, failed, quarantined))),
-        Response::Error(e) => Err(e),
-        other => Err(format!("unexpected response to Audit: {other:?}")),
-    }
+    out.push_str(&format!(
+        "fleet ({}/{total} nodes audited): {}\n",
+        total - down,
+        render(sampled, failed, quarantined),
+    ));
+    Ok(out)
 }
 
-/// One slow-log table (shared by the single-server and per-node
-/// views): newest first, one row per slow request with its full
-/// stage breakdown.
+/// One node's slow-log table: newest first, one row per slow request
+/// with its full stage breakdown.
 fn render_slowlog(entries: &[SlowLogEntry]) -> String {
     if entries.is_empty() {
         return "slow log is empty (no request crossed the server's --slow-ms threshold)\n"
@@ -1088,25 +939,17 @@ fn slowlog_cmd(rest: &[&str]) -> Result<String, String> {
     if !args.is_empty() {
         return Err(usage());
     }
-    match endpoint.open()? {
-        Target::Ring(mut cc) => {
-            let mut out = String::new();
-            for (addr, result) in cc.node_slowlog() {
-                match result {
-                    Ok(entries) => {
-                        out.push_str(&format!("node {addr}: {} slow request(s)\n", entries.len()));
-                        out.push_str(&render_slowlog(&entries));
-                    }
-                    Err(e) => out.push_str(&format!("node {addr}: DOWN ({e})\n")),
-                }
+    let mut out = String::new();
+    for (addr, result) in endpoint.open()?.node_slowlog() {
+        match result {
+            Ok(entries) => {
+                out.push_str(&format!("node {addr}: {} slow request(s)\n", entries.len()));
+                out.push_str(&render_slowlog(&entries));
             }
-            Ok(out)
-        }
-        Target::Single(mut client) => {
-            let entries = client.slowlog().map_err(|e| e.to_string())?;
-            Ok(render_slowlog(&entries))
+            Err(e) => out.push_str(&format!("node {addr}: DOWN ({e})\n")),
         }
     }
+    Ok(out)
 }
 
 /// One `dpc top` frame: what happened between two Stats polls
@@ -1167,12 +1010,19 @@ fn top_cmd(rest: &[&str]) -> Result<String, String> {
     if !args.is_empty() {
         return Err(usage());
     }
-    let mut target = endpoint.open()?;
-    let mut prev = target.stats_all()?;
+    // one labeled Stats poll per node, `None` while it is unreachable
+    let mut cc = endpoint.open()?;
+    let mut poll = || -> Vec<(String, Option<StatsSnapshot>)> {
+        cc.node_stats()
+            .into_iter()
+            .map(|(addr, result)| (addr, result.ok()))
+            .collect()
+    };
+    let mut prev = poll();
     let mut prev_at = Instant::now();
     loop {
         std::thread::sleep(interval);
-        let cur = target.stats_all()?;
+        let cur = poll();
         let now = Instant::now();
         let dt = now.duration_since(prev_at).as_secs_f64();
         let mut frame = String::new();
@@ -1276,12 +1126,6 @@ fn query_cmd(rest: &[&str]) -> Result<String, String> {
     let chunked = args.contains(&"--chunked");
     args.retain(|&a| a != "--chunked");
     let endpoint = Endpoint::take(&mut args)?;
-    if chunked && endpoint.is_ring() {
-        // a chunk session lives on one connection; rendezvous routing
-        // would need the graph key, which requires the whole graph
-        // anyway — query the owner directly instead
-        return Err("--chunked streams to a single server (drop --nodes)".to_string());
-    }
     // id-reading schemes cannot travel through this subcommand's
     // graph exchange format — inbound (certify/check/soundness parse
     // graph6, which has no id field) or outbound (gen prints graph6,
@@ -1299,7 +1143,7 @@ fn query_cmd(rest: &[&str]) -> Result<String, String> {
         return Err(format!(
             "scheme {scheme_name} reads network identifiers, which graph6 cannot carry \
              (encoding a graph drops its ids) — use the binary wire protocol instead \
-             (dpc_service::Client::certify with CertifyOptions, or the `blocks` family \
+             (dpc_service::ClusterClient::certify with CertifyOptions, or the `blocks` family \
              in crates/service/tests/registry_e2e.rs)"
         ));
     }
@@ -1352,7 +1196,7 @@ fn query_cmd(rest: &[&str]) -> Result<String, String> {
                 InteractiveOptions::new().seed(seed).scheme(scheme),
             )
         }
-        ["stats"] => return target.stats_text(),
+        ["stats"] => return render_fleet(&mut target),
         _ => return Err(usage()),
     };
     render_response(response.map_err(|e| e.to_string())?, &scheme_name)
@@ -1553,17 +1397,7 @@ fn bench_serve_cmd(rest: &[&str]) -> Result<String, String> {
     let endpoint = if distributed && !args.iter().any(|a| !a.starts_with("--")) {
         // --distributed may legally arrive with no positional at all
         // (count defaults); resolve flags only, then demand the ring
-        let ConnFlags {
-            wait,
-            nodes,
-            replication,
-        } = take_conn_flags(&mut args)?;
-        Endpoint {
-            nodes,
-            addr: None,
-            wait,
-            replication,
-        }
+        take_conn_flags(&mut args)?
     } else {
         Endpoint::take(&mut args)?
     };
@@ -1657,7 +1491,7 @@ fn bench_single(
         .as_ref()
         .map(|h| h.addr().to_string())
         .unwrap_or_else(|| addr.to_string());
-    let mut client = connect_wait(&target, wait)?;
+    let mut client = dial(&target, wait)?;
     let spec = spec.unwrap_or(GraphSpec::Grid(side, side));
     let label = spec.label();
     let g = spec.make(1);
@@ -1818,7 +1652,7 @@ fn bench_storm(
     let g = dpc::graph::generators::grid(6, 6);
     let body = dpc_service::wire::encode_certify_request(&g, false, SchemeId::PLANARITY);
     {
-        let mut probe = connect_wait(&target, wait)?;
+        let mut probe = dial(&target, wait)?;
         probe.certify(&g, false).map_err(|e| e.to_string())?;
     }
     let sock_addr = target
@@ -1835,7 +1669,7 @@ fn bench_storm(
         // whatever ran before it on a long-lived server. Best-effort:
         // a server the storm just collapsed (the threaded 10k case)
         // still gets its failure row, only with empty stage data.
-        let poll = |wait| connect_wait(&target, wait).ok()?.stats().ok();
+        let poll = |wait| dial(&target, wait).ok()?.stats().ok();
         let before = poll(wait);
         let report = storm(
             sock_addr,
@@ -1905,7 +1739,7 @@ fn bench_storm(
 /// routing counters — and the same machine-readable JSON trailer the
 /// single-node bench emits, extended with `ring_*` fields.
 fn bench_ring(endpoint: Endpoint, hits: usize, side: u32) -> Result<String, String> {
-    let mut cc = endpoint.open_ring()?;
+    let mut cc = endpoint.open()?;
     let ring_nodes = cc.ring().len();
     let replication = cc.replication();
     let n = side * side;
@@ -1954,7 +1788,7 @@ fn bench_ring(endpoint: Endpoint, hits: usize, side: u32) -> Result<String, Stri
     }
     let hit_wall = hit_wall.elapsed();
 
-    let routing = cc.stats().clone();
+    let routing = cc.cluster_stats().clone();
     let (fleet, _per_node) = cc.fleet_stats().map_err(|e| e.to_string())?;
     let misses = miss_lat.len();
     let miss_p50 = percentile(&mut miss_lat, 0.50);
@@ -2034,14 +1868,14 @@ fn bench_distributed(
 ) -> Result<String, String> {
     let spec = spec.unwrap_or(GraphSpec::Tri(2000));
     let wait = endpoint.wait;
-    let mut cc = endpoint.open_ring()?;
+    let mut cc = endpoint.open()?;
     let ring_nodes = cc.ring().len();
     let first = cc.ring().addrs()[0].clone();
     let graphs: Vec<Graph> = (0..count).map(|i| spec.make(i as u64 + 1)).collect();
 
     // sequential reference first (the ring is equally cold for both
     // sweeps since they bypass the cache anyway)
-    let mut seq_client = connect_wait(&first, wait)?;
+    let mut seq_client = dial(&first, wait)?;
     let seq_start = Instant::now();
     let mut seq_results: Vec<Option<Outcome>> = Vec::with_capacity(count);
     for g in &graphs {
